@@ -1,32 +1,35 @@
 #!/usr/bin/env bash
 # Tier-1 verification with hang protection.
 #
-# Stage 1 runs the repo's tier-1 test command (see ROADMAP.md); stage 2
-# smoke-tests the parallel campaign engine (tiny grid, workers=2,
-# crash + journal-resume check -- scripts/parallel_smoke.py); stage 3
-# runs the hot-path kernel benchmark in --quick mode, which asserts the
-# optimized kernels stay bit-identical to their in-tree references (an
-# equivalence check only -- no timing gate), followed by an *advisory*
-# bench-history regression gate (scripts/bench_regress.py, >15% per
-# kernel); stage 3b checks the kernel
-# backend tiers the same way (--all-backends) and proves the numba
-# fallback is transparent (scripts/backend_fallback_check.py); stage 4
-# re-runs the
-# parallel smoke with telemetry enabled and validates the emitted
-# manifest + metric snapshots against the schema catalog
-# (scripts/validate_telemetry.py), so instrumentation and catalog
-# cannot drift apart; stage 5 smoke-tests the fault-tolerant campaign
-# service (two overlapping tenants, seeded chaos killing workers,
-# exactly-once journal, resume -- scripts/service_smoke.py) with
-# telemetry enabled and validates its artifacts the same way; stage 6
-# smoke-tests the playbook sweep fuzzer (seeded tiny sweep + bisection,
-# exact re-run reproducibility, Rubix-S blind-vs-informed contrast --
-# scripts/fuzz_smoke.py), schema-validating its telemetry too.  All run
-# under a hard wall-clock ceiling, so a
-# wedged simulation fails CI instead of stalling it.  Per-test timeouts
-# come from [tool.pytest.ini_options] in pyproject.toml (pytest-timeout,
-# or the conftest SIGALRM fallback); this wrapper bounds each whole
-# stage.
+# Stages, each under a hard wall-clock ceiling so a wedged simulation
+# fails CI instead of stalling it:
+#
+#   1. the repo's tier-1 test command (see ROADMAP.md);
+#   2. parallel campaign smoke: tiny grid, workers=2, crash +
+#      journal-resume check (scripts/parallel_smoke.py);
+#   3. hot-path kernel benchmark in --quick mode, which asserts every
+#      production kernel stays bit-identical to its in-tree reference
+#      oracle (an equivalence check only -- no timing gate), then an
+#      *advisory* bench-history regression gate
+#      (scripts/bench_regress.py, >15% per kernel);
+#   4. stage 2 again with telemetry enabled, validating the emitted
+#      manifest + metric snapshots against the schema catalog
+#      (scripts/validate_telemetry.py), so instrumentation and catalog
+#      cannot drift apart;
+#   5. fault-tolerant campaign service smoke: two overlapping tenants,
+#      seeded chaos killing workers, exactly-once journal, resume
+#      (scripts/service_smoke.py), telemetry validated like stage 4;
+#   6. playbook sweep fuzzer smoke: seeded tiny sweep + bisection,
+#      exact re-run reproducibility, Rubix-S blind-vs-informed contrast
+#      (scripts/fuzz_smoke.py), telemetry schema-validated;
+#   7. distributed-service smoke: socket workers under seeded wire
+#      chaos plus the zero-worker fallback
+#      (scripts/distributed_smoke.py), telemetry and span trees
+#      validated.
+#
+# Per-test timeouts come from [tool.pytest.ini_options] in
+# pyproject.toml (pytest-timeout, or the conftest SIGALRM fallback);
+# this wrapper bounds each whole stage.
 #
 # Usage: scripts/ci_tier1.sh [extra pytest args...]
 #   CI_TIER1_TIMEOUT=seconds   pytest stage budget (default 1800)
@@ -61,14 +64,6 @@ run_bounded "$BENCH_BUDGET" python scripts/bench_hotpath.py --quick --out -
 # scripts/bench_regress.py directly as a hard gate for perf work.
 run_bounded 60 python scripts/bench_regress.py \
     || echo "WARN: bench_regress reported a >15% kernel regression (advisory)"
-
-# Stage 3b: kernel-backend tier check -- every available backend
-# (reference, numpy, and numba when installed) must produce the same
-# window bit-for-bit (asserted in-run by the harness), and requesting
-# the numba tier on a machine without numba must fall back to numpy
-# transparently with identical campaign records.
-run_bounded "$BENCH_BUDGET" python scripts/bench_hotpath.py --quick --all-backends --out -
-run_bounded "$SMOKE_BUDGET" python scripts/backend_fallback_check.py
 
 # Stage 4: telemetry round-trip -- run the same smoke with telemetry
 # enabled, then validate every emitted artifact against the schema.

@@ -22,7 +22,6 @@ from repro.mapping.mop import MOPMapping
 from repro.mapping.stride import LargeStrideMapping
 from repro.obs.runtime import METRICS, TRACER
 from repro.parallel.cache import StatsCache, default_persist_dir
-from repro.perf.backends import resolve_backend
 from repro.perf.simulator import Simulator
 from repro.workloads.mixes import mix_names, mix_trace
 from repro.workloads.playbook import (
@@ -104,26 +103,19 @@ _SIMULATORS: Dict[Tuple, Simulator] = {}
 _TRACES: Dict[Tuple, Trace] = {}
 
 
-def get_simulator(
-    config: Optional[DRAMConfig] = None, *, backend: Optional[str] = None
-) -> Simulator:
-    """Process-wide simulator for a (geometry, kernel backend) pair.
+def get_simulator(config: Optional[DRAMConfig] = None) -> Simulator:
+    """Process-wide simulator for one DRAM geometry.
 
     When the ``REPRO_STATS_CACHE`` environment variable names a
     directory, the simulator's window-statistics cache persists there --
     pool workers and sequential suite runs then share one content-keyed
-    cache on disk.  ``backend`` selects the kernel tier (see
-    :mod:`repro.perf.backends`); all tiers are bit-identical, so cached
-    statistics are shared across backends even though simulators differ.
+    cache on disk.
     """
     config = config or baseline_config()
-    resolved = resolve_backend(backend)
-    key = (config.channels, config.ranks, config.banks, config.rows_per_bank, resolved)
+    key = (config.channels, config.ranks, config.banks, config.rows_per_bank)
     if key not in _SIMULATORS:
         _SIMULATORS[key] = Simulator(
-            config,
-            stats_cache=StatsCache(persist_dir=default_persist_dir()),
-            backend=resolved,
+            config, stats_cache=StatsCache(persist_dir=default_persist_dir())
         )
     return _SIMULATORS[key]
 

@@ -57,27 +57,15 @@ class TestParallelMatchesSerial:
         assert len(records) == campaign.size() == 4
 
     def test_identical_records_across_backends_and_modes(self):
-        """Serial == parallel, per backend AND across backends.
+        """Serial == parallel on a one-workload grid with two workers.
 
-        The kernel-backend tiers are bit-identical by contract, so every
-        (backend, workers) combination of the same grid must produce one
-        identical record list -- the property that lets pool workers,
-        journals, and the stats cache ignore backend choice entirely.
+        There is one kernel path, so the only modes left to compare are
+        serial and pooled execution.
         """
-        from repro.perf.backends import available_backends
-
-        grids = {}
-        for backend in available_backends():
-            grids[(backend, "serial")] = make_campaign(
-                workloads=["xz"], thresholds=[128], backend=backend
-            ).run()
-            grids[(backend, "parallel")] = make_campaign(
-                workloads=["xz"], thresholds=[128], backend=backend
-            ).run(workers=2)
-        baseline = grids[("numpy", "serial")]
-        assert all(r["status"] == "ok" for r in baseline)
-        for key, records in grids.items():
-            assert records == baseline, f"{key} diverged from (numpy, serial)"
+        serial = make_campaign(workloads=["xz"], thresholds=[128]).run()
+        parallel = make_campaign(workloads=["xz"], thresholds=[128]).run(workers=2)
+        assert all(r["status"] == "ok" for r in serial)
+        assert parallel == serial
 
 
 class TestValidation:

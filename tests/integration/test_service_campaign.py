@@ -285,3 +285,9 @@ class TestSpecRoundTrip:
             campaign_from_spec({"workloads": ["xz"], "mappings": [42]})
         with pytest.raises(ValueError):
             campaign_from_spec([1, 2, 3])
+        # Campaigns have one kernel path; a spec that still names a
+        # kernel tier must fail loudly rather than be silently ignored.
+        with pytest.raises(ValueError, match=r"unknown campaign spec key\(s\): backend"):
+            campaign_from_spec(
+                {"workloads": ["xz"], "mappings": ["coffeelake"], "backend": "numpy"}
+            )

@@ -25,7 +25,7 @@ from repro.obs.assemble import (
     validate_traces,
 )
 from repro.obs.live import PROMETHEUS_CONTENT_TYPE, LiveEndpoint
-from repro.obs.profile import PROFILER, SamplingProfiler, wrap_kernel
+from repro.obs.profile import SamplingProfiler
 from repro.obs.schema import validate_events_lines, validate_telemetry_dir
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -200,15 +200,10 @@ def _busy(deadline):
 
 
 class TestSamplingProfiler:
-    def test_disabled_phase_and_wrap_are_noops(self):
+    def test_disabled_phase_is_noop(self):
         profiler = SamplingProfiler()
         scope = profiler.phase("translate_trace")
         assert profiler.phase("analyze_trace") is scope  # shared null scope
-
-        def fn():
-            return 42
-
-        assert wrap_kernel("translate_trace", fn) is fn  # PROFILER is off
 
     def test_samples_attribute_to_active_phase(self, tmp_path):
         profiler = SamplingProfiler(interval_s=0.001)
@@ -248,33 +243,6 @@ class TestSamplingProfiler:
     def test_write_with_no_samples_writes_nothing(self, tmp_path):
         assert SamplingProfiler().write(tmp_path) == []
         assert list(tmp_path.iterdir()) == []
-
-    def test_wrap_kernel_scopes_phase_when_enabled(self):
-        PROFILER.enable(interval_s=0.001)
-        try:
-            seen = {}
-
-            def fn(x):
-                seen["phase"] = dict(PROFILER._active).get(
-                    __import__("threading").get_ident()
-                )
-                return x + 1
-
-            wrapped = wrap_kernel("remap_steps", fn)
-            assert wrapped is not fn and wrapped.__wrapped__ is fn
-            assert wrapped(1) == 2
-            assert seen["phase"] == "remap_steps"
-        finally:
-            PROFILER.disable()
-            PROFILER.clear()
-
-    def test_get_kernel_identity_preserved_when_off(self):
-        from repro.perf.backends import get_kernel, resolve_backend
-
-        backend = resolve_backend()
-        assert get_kernel("translate_trace", backend) is get_kernel(
-            "translate_trace", backend
-        )
 
 
 @pytest.fixture
@@ -370,16 +338,6 @@ class TestBenchRegress:
             },
         }
 
-    def _backends(self, seconds, *, quick=False):
-        return {
-            "config": {"lines": 1000, "quick": quick},
-            "mode": "backends",
-            "kernels": {
-                kernel: {"seconds": {"reference": value * 10, "numpy": value}}
-                for kernel, value in seconds.items()
-            },
-        }
-
     def test_regression_over_threshold_fails(self):
         bench = _load_bench_regress()
         history = [
@@ -417,21 +375,6 @@ class TestBenchRegress:
         ]
         regressions, comparisons = bench.check_regressions(history, 15.0)
         assert regressions == [] and comparisons == []
-
-    def test_backend_entries_score_fastest_non_reference(self):
-        bench = _load_bench_regress()
-        assert bench.kernel_seconds(self._backends({"analyze_trace": 0.5})) == {
-            "analyze_trace": 0.5
-        }
-
-    def test_pair_and_backend_entries_interoperate(self):
-        bench = _load_bench_regress()
-        history = [
-            self._backends({"translate_trace": 1.0}),
-            self._pair({"translate_trace": 1.4}),
-        ]
-        regressions, _ = bench.check_regressions(history, 15.0)
-        assert len(regressions) == 1
 
     def test_single_entry_history_passes_vacuously(self):
         bench = _load_bench_regress()
