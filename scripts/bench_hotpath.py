@@ -4,6 +4,9 @@
 Times each vectorized kernel against its in-tree pre-optimization
 reference on a synthetic mixed window (10M lines by default):
 
+* static translation per mapping -- Coffee Lake, Skylake, MOP and
+  Rubix-S GS1/2/4 -- against the per-bit decode and arithmetic-cipher
+  oracles,
 * Rubix-D chunk translation (gather vs per-engine masked loop),
 * trace analysis (counting kernels vs argsort/np.unique),
 * remap sweep advancement (closed form vs per-episode walk),

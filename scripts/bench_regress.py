@@ -15,7 +15,8 @@ Entries are only compared when their ``config`` matches (same line
 count, reps, seed, chunking, quick flag, ...), so a --quick run can
 never be judged against a full run.  With fewer than two comparable
 entries the gate passes vacuously: a fresh clone has nothing to
-regress against.
+regress against.  A kernel the newest entry times but no comparable
+prior entry did is reported as "no baseline", never failed.
 
 CI runs this advisorily after the quick bench stage (timings on shared
 CI hardware are noisy); locally it is a hard gate for perf work.
@@ -58,6 +59,31 @@ def kernel_seconds(entry: dict) -> dict:
     }
 
 
+def best_prior_seconds(history: list) -> dict:
+    """``{kernel: fastest seconds}`` over prior entries sharing the newest config."""
+    config = history[-1].get("config") if history else None
+    best: dict = {}
+    for entry in history[:-1]:
+        if entry.get("config") != config:
+            continue
+        for kernel, seconds in kernel_seconds(entry).items():
+            if kernel not in best or seconds < best[kernel]:
+                best[kernel] = seconds
+    return best
+
+
+def no_baseline(history: list) -> list:
+    """Kernels of the newest entry that no comparable prior entry timed.
+
+    A kernel added to the bench has nothing to regress against until a
+    second entry records it; it is reported, never failed.
+    """
+    if not history:
+        return []
+    best = best_prior_seconds(history)
+    return sorted(k for k in kernel_seconds(history[-1]) if k not in best)
+
+
 def check_regressions(history: list, threshold_pct: float) -> tuple:
     """Compare the newest entry to the best comparable prior entries.
 
@@ -68,18 +94,9 @@ def check_regressions(history: list, threshold_pct: float) -> tuple:
     """
     if len(history) < 2:
         return [], []
-    newest = history[-1]
-    config = newest.get("config")
-    newest_seconds = kernel_seconds(newest)
-    best_prior: dict = {}
-    for entry in history[:-1]:
-        if entry.get("config") != config:
-            continue
-        for kernel, seconds in kernel_seconds(entry).items():
-            if kernel not in best_prior or seconds < best_prior[kernel]:
-                best_prior[kernel] = seconds
+    best_prior = best_prior_seconds(history)
     regressions, comparisons = [], []
-    for kernel, now_s in sorted(newest_seconds.items()):
+    for kernel, now_s in sorted(kernel_seconds(history[-1]).items()):
         prior_s = best_prior.get(kernel)
         if prior_s is None or prior_s <= 0:
             continue
@@ -125,9 +142,12 @@ def main(argv=None) -> int:
             )
         for kernel, now_s, prior_s, delta_pct in comparisons:
             print(
-                f"{kernel:>16s}: {now_s:.6f}s vs best {prior_s:.6f}s"
+                f"{kernel:>22s}: {now_s:.6f}s vs best {prior_s:.6f}s"
                 f" ({delta_pct:+.1f}%)"
             )
+        if comparisons:
+            for kernel in no_baseline(history):
+                print(f"{kernel:>22s}: no baseline")
     if regressions:
         for line in regressions:
             print(f"FAIL: {line}", file=sys.stderr)

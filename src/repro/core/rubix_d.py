@@ -169,11 +169,7 @@ class RubixDMapping(AddressMapping):
         per-element :meth:`translate` and to the
         :meth:`_translate_trace_loop` oracle.
         """
-        lines = np.asarray(lines, dtype=np.uint64)
-        if validate and lines.size and int(lines.max()) >= self.config.total_lines:
-            raise ValueError(
-                f"line addresses exceed the {self.config.capacity_bytes} byte memory"
-            )
+        lines = self._line_array(lines, validate)
         dtype = np.uint32 if self.config.line_addr_bits <= 32 else np.uint64
         dt = dtype  # numpy scalar-type constructor
         v = lines.astype(dtype, copy=False)

@@ -58,13 +58,9 @@ class HorizontalXorMapping(AddressMapping):
         return self.decode.translate(line_addr ^ self.key)
 
     def translate_trace(self, lines: np.ndarray, *, validate: bool = True) -> MappedTrace:
-        lines = np.asarray(lines, dtype=np.uint64)
         # The xored address stays in range iff the input does, so the
         # decode stage's own scan is redundant either way.
-        if validate and lines.size and int(lines.max()) >= self.config.total_lines:
-            raise ValueError(
-                f"line addresses exceed the {self.config.capacity_bytes} byte memory"
-            )
+        lines = self._line_array(lines, validate)
         return self.decode.translate_trace(lines ^ np.uint64(self.key), validate=False)
 
     def inverse(self, coord: Coordinate) -> int:

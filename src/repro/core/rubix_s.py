@@ -87,14 +87,10 @@ class RubixSMapping(AddressMapping):
         return self.decode.translate(self.encrypt_line(line_addr))
 
     def translate_trace(self, lines: np.ndarray, *, validate: bool = True) -> MappedTrace:
-        lines = np.asarray(lines, dtype=np.uint64)
         # One domain scan for the whole chunk; the cipher and the decode
         # stage then skip their own per-call validation (the encrypted
         # address is in range by bijectivity).
-        if validate and lines.size and int(lines.max()) >= self.config.total_lines:
-            raise ValueError(
-                f"line addresses exceed the {self.config.capacity_bytes} byte memory"
-            )
+        lines = self._line_array(lines, validate)
         gang, offset = self.splitter.split(lines)
         encrypted = self.splitter.merge(self.cipher.encrypt(gang, validate=False), offset)
         return self.decode.translate_trace(encrypted, validate=False)

@@ -17,10 +17,11 @@ open by the previous request to that bank and the open-adaptive budget
 detailed model only strengthens row locality; the cross-validation test
 in ``tests/integration/test_tier_agreement.py`` bounds the difference.
 
-:func:`analyze_trace` groups accesses by bank with an O(n) counting
-sort over the narrow bank-id domain and builds the per-row activation
-histogram with ``np.bincount`` + ``np.flatnonzero`` instead of sorting;
-it is the hot path for 10M-100M-line windows.
+:func:`analyze_trace`, the hot path for 10M-100M-line windows, groups
+accesses by bank with an O(n) counting sort, finds run positions with a
+running maximum and counts activations per row by sorting the narrow
+activated-row ids.  The rows touched are exactly the rows activated, as
+every run of same-row accesses opens with an activation.
 :func:`_analyze_trace_sorted` is the original ``np.argsort``/``np.unique``
 implementation, kept only as the oracle the equivalence tests and
 ``scripts/bench_hotpath.py`` compare against; both produce bit-identical
@@ -29,7 +30,7 @@ implementation, kept only as the oracle the equivalence tests and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -128,9 +129,8 @@ class TraceStats:
             if keep_detail and all(cols_kept)
             else None
         )
-        # Unique rows touched can only be summed approximately across
-        # chunks; parts produced by chunked analysis pass the true value
-        # via merge_unique_rows() instead.
+        # Rows touched are rows activated, so for parts from
+        # analyze_trace this max() is the exact touched count.
         unique_touched = max(int(row_ids.size), max(p.unique_rows_touched for p in parts))
         return cls(
             n_accesses=sum(p.n_accesses for p in parts),
@@ -165,54 +165,8 @@ def _grouping_order(flat_bank: np.ndarray, n_bank_ids: int) -> np.ndarray:
     return np.argsort(key, kind="stable")
 
 
-def _histogram_domain_ok(domain: int, n: int) -> bool:
-    """Whether a dense ``np.bincount`` over ``domain`` row ids is sane.
-
-    The dense histogram is O(n + domain) time and 8*domain bytes; beyond
-    a few multiples of the trace length the allocation would dwarf the
-    sorting it replaces, so larger domains use ``np.unique`` instead.
-    """
-    return domain <= max(1 << 22, 2 * n)
-
-
-def _unique_counts(values: np.ndarray, domain: int) -> "tuple[np.ndarray, np.ndarray]":
-    """Sorted unique values and their counts (``np.unique`` equivalent)."""
-    if _histogram_domain_ok(domain, values.size):
-        hist = np.bincount(values, minlength=0)
-        ids = np.flatnonzero(hist)
-        return ids.astype(np.int64, copy=False), hist[ids]
-    ids, counts = np.unique(values, return_counts=True)
-    return ids.astype(np.int64, copy=False), counts.astype(np.int64, copy=False)
-
-
-def _grown(current: Optional[np.ndarray], size: int, dtype) -> np.ndarray:
-    """A zeroed array of at least ``size``, preserving ``current``'s prefix."""
-    grown = np.zeros(size, dtype=dtype)
-    if current is not None:
-        grown[: current.size] = current
-    return grown
-
-
 #: Shared empty placeholder for slimmed per-chunk stats (never mutated).
 _EMPTY_ROW_IDS = np.empty(0, dtype=np.int64)
-
-
-def unique_row_ids(global_row: np.ndarray, domain: Optional[int] = None) -> np.ndarray:
-    """Sorted unique global row ids, via dense histogram when feasible.
-
-    ``domain`` is an exclusive upper bound on the ids (computed from the
-    array when omitted); it decides between the O(n + domain) bincount
-    path and the O(n log n) ``np.unique`` fallback.
-    """
-    if global_row.size == 0:
-        return np.empty(0, np.int64)
-    if domain is None:
-        domain = int(global_row.max()) + 1
-    if _histogram_domain_ok(domain, global_row.size):
-        return np.flatnonzero(np.bincount(global_row, minlength=0)).astype(
-            np.int64, copy=False
-        )
-    return np.unique(global_row).astype(np.int64, copy=False)
 
 
 def analyze_trace(
@@ -239,94 +193,86 @@ def analyze_trace(
         A :class:`TraceStats` for the window.
     """
     with PROFILER.phase("analyze_trace"):
-        return _analyze_trace_impl(
-            flat_bank,
-            row,
-            rows_per_bank=rows_per_bank,
-            max_hits=max_hits,
-            col=col,
-            keep_detail=keep_detail,
+        flat_bank = np.asarray(flat_bank)
+        row = np.asarray(row)
+        if flat_bank.shape != row.shape or flat_bank.ndim != 1:
+            raise ValueError("flat_bank and row must be 1-D arrays of equal length")
+        n = flat_bank.size
+        if n == 0:
+            return TraceStats(0, 0, 0, np.empty(0, np.int64), np.empty(0, np.int64), 0)
+        if max_hits is not None and max_hits < 1:
+            raise ValueError(f"max_hits must be >= 1 or None, got {max_hits}")
+
+        n_bank_ids = int(flat_bank.max()) + 1
+        # Exclusive upper bound on the global row ids; when it fits in 32
+        # bits the whole kernel runs on half the memory bandwidth (the ids
+        # themselves stay exact either way).  Derived from the observed row
+        # maximum so even out-of-spec row indices stay in domain.
+        domain = (n_bank_ids - 1) * rows_per_bank + int(row.max()) + 1
+        work_dtype = np.int32 if domain <= np.iinfo(np.int32).max else np.int64
+        global_row = flat_bank.astype(work_dtype) * work_dtype(rows_per_bank) + row.astype(
+            work_dtype
         )
 
+        # Group accesses by bank while preserving program order inside each bank.
+        order = _grouping_order(flat_bank, n_bank_ids)
+        g = global_row[order]
 
-def _analyze_trace_impl(
-    flat_bank: np.ndarray,
-    row: np.ndarray,
-    *,
-    rows_per_bank: int,
-    max_hits: Optional[int] = 16,
-    col: Optional[np.ndarray] = None,
-    keep_detail: bool = False,
-) -> TraceStats:
-    flat_bank = np.asarray(flat_bank)
-    row = np.asarray(row)
-    if flat_bank.shape != row.shape or flat_bank.ndim != 1:
-        raise ValueError("flat_bank and row must be 1-D arrays of equal length")
-    n = flat_bank.size
-    if n == 0:
-        return TraceStats(0, 0, 0, np.empty(0, np.int64), np.empty(0, np.int64), 0)
-    if max_hits is not None and max_hits < 1:
-        raise ValueError(f"max_hits must be >= 1 or None, got {max_hits}")
+        # An access continues the current run iff it targets the same global
+        # row as its predecessor within the same bank.  Because global row ids
+        # embed the bank id, comparing them also compares banks -- except that
+        # the first access of each bank group must start a new run even if the
+        # previous bank's last row id coincides; embedding makes collision
+        # impossible (row ids of different banks never match).
+        new_run = np.empty(n, dtype=bool)
+        new_run[0] = True
+        np.not_equal(g[1:], g[:-1], out=new_run[1:])
 
-    n_bank_ids = int(flat_bank.max()) + 1
-    # Exclusive upper bound on the global row ids; when it fits in 32
-    # bits the whole kernel runs on half the memory bandwidth (the ids
-    # themselves stay exact either way).  Derived from the observed row
-    # maximum so even out-of-spec row indices stay in domain.
-    domain = (n_bank_ids - 1) * rows_per_bank + int(row.max()) + 1
-    work_dtype = np.int32 if domain <= np.iinfo(np.int32).max else np.int64
-    global_row = flat_bank.astype(work_dtype) * work_dtype(rows_per_bank) + row.astype(
-        work_dtype
-    )
-
-    # Group accesses by bank while preserving program order inside each bank.
-    order = _grouping_order(flat_bank, n_bank_ids)
-    g = global_row[order]
-
-    # An access continues the current run iff it targets the same global
-    # row as its predecessor within the same bank.  Because global row ids
-    # embed the bank id, comparing them also compares banks -- except that
-    # the first access of each bank group must start a new run even if the
-    # previous bank's last row id coincides; embedding makes collision
-    # impossible (row ids of different banks never match).
-    same = np.empty(n, dtype=bool)
-    same[0] = False
-    np.equal(g[1:], g[:-1], out=same[1:])
-    new_run = ~same
-
-    if max_hits is None:
-        act_mask = new_run
-    else:
-        run_starts = np.flatnonzero(new_run)
-        run_id = np.cumsum(new_run)
-        run_id -= 1
-        pos_in_run = np.arange(n, dtype=np.int64)
-        pos_in_run -= run_starts[run_id]
-        if max_hits & (max_hits - 1) == 0:
-            act_mask = (pos_in_run & (max_hits - 1)) == 0
+        if max_hits is None:
+            act_mask = new_run
         else:
-            act_mask = (pos_in_run % max_hits) == 0
+            # An access's position in its run is its index minus the index
+            # of the run's first access, which is the running maximum of the
+            # run-start indices.
+            pos_in_run = np.arange(n, dtype=np.int32 if n <= np.iinfo(np.int32).max else np.int64)
+            run_start = pos_in_run * new_run
+            np.maximum.accumulate(run_start, out=run_start)
+            pos_in_run -= run_start
+            if max_hits & (max_hits - 1) == 0:
+                pos_in_run &= max_hits - 1
+            else:
+                pos_in_run %= max_hits
+            act_mask = pos_in_run == 0
 
-    act_rows = g[act_mask]
-    n_act = int(act_rows.size)
-    row_ids, acts_per_row = _unique_counts(act_rows, domain)
-    unique_rows = int(unique_row_ids(global_row, domain).size)
+        act_rows = g[act_mask]
+        n_act = int(act_rows.size)
+        # Per-row counts: sort the activated ids and cut at value changes.
+        # On narrow ids this beats a dense bincount, whose allocation and
+        # scan of the whole row domain dominate short windows.
+        ordered = np.sort(act_rows)
+        first = np.empty(n_act, dtype=bool)
+        first[0] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        row_ids = ordered[starts].astype(np.int64, copy=False)
+        acts_per_row = np.diff(starts, append=n_act)
 
-    detail_rows = act_rows.astype(np.int64, copy=False) if keep_detail else None
-    detail_cols = None
-    if keep_detail and col is not None:
-        detail_cols = np.asarray(col)[order][act_mask]
+        detail_rows = act_rows.astype(np.int64, copy=False) if keep_detail else None
+        keep_cols = keep_detail and col is not None
+        detail_cols = np.asarray(col)[order][act_mask] if keep_cols else None
 
-    return TraceStats(
-        n_accesses=n,
-        n_activations=n_act,
-        n_hits=n - n_act,
-        row_ids=row_ids,
-        acts_per_row=acts_per_row.astype(np.int64, copy=False),
-        unique_rows_touched=unique_rows,
-        act_rows=detail_rows,
-        act_cols=detail_cols,
-    )
+        return TraceStats(
+            n_accesses=n,
+            n_activations=n_act,
+            n_hits=n - n_act,
+            row_ids=row_ids,
+            acts_per_row=acts_per_row.astype(np.int64, copy=False),
+            # Every run of same-row accesses opens with an activation, so the
+            # rows touched are exactly the rows activated.
+            unique_rows_touched=int(row_ids.size),
+            act_rows=detail_rows,
+            act_cols=detail_cols,
+        )
 
 
 def _analyze_trace_sorted(
@@ -396,23 +342,21 @@ class ChunkedAnalyzer:
     statistics and produces a merged window result; the row buffer is
     conservatively assumed cold at each chunk boundary (a <0.1% activation
     overcount at the default chunk size).
+
+    Chunk parts keep only tallies and detail; per-row counts go to one
+    dense histogram over the global-row domain (an O(n) scatter, and no
+    per-chunk histograms held across a 100M-line window).  A chunk that
+    pushes the domain past the dense budget turns the histogram into
+    the first of a list of row parts for :meth:`TraceStats.merge`.
+    Touched rows are the activated rows, so they need no state.
     """
 
     rows_per_bank: int
     max_hits: Optional[int] = 16
     keep_detail: bool = False
     _parts: List[TraceStats] = field(default_factory=list)
-    _touched: List[np.ndarray] = field(default_factory=list)
-    #: Dense accumulators: per-row activation histogram and touched-row
-    #: bitmap over the global-row domain.  They replace the sort-heavy
-    #: cross-chunk merge (concatenate + np.unique over every chunk's
-    #: ids) with O(n) scatters; if a chunk ever pushes the domain past
-    #: the dense-histogram budget, the accumulated state converts to the
-    #: list-based form and the merge falls back to
-    #: :meth:`TraceStats.merge`.
-    _hist: Optional[np.ndarray] = None
-    _seen: Optional[np.ndarray] = None
-    _dense: bool = True
+    _hist: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    _row_parts: Optional[List[TraceStats]] = None
     _fed: int = 0
 
     def feed(
@@ -430,103 +374,45 @@ class ChunkedAnalyzer:
             col=col,
             keep_detail=self.keep_detail,
         )
-        self._parts.append(stats)
-        flat = np.asarray(flat_bank)
-        rows = np.asarray(row)
-        if flat.size == 0:
+        self._parts.append(replace(stats, row_ids=_EMPTY_ROW_IDS, acts_per_row=_EMPTY_ROW_IDS))
+        if stats.n_accesses == 0:
             return stats
-        domain = int(flat.max()) * self.rows_per_bank + int(rows.max()) + 1
-        work_dtype = np.int32 if domain <= np.iinfo(np.int32).max else np.int64
-        global_row = flat.astype(work_dtype) * work_dtype(self.rows_per_bank) + rows.astype(
-            work_dtype
-        )
-        self._fed += int(flat.size)
-        if self._dense and _histogram_domain_ok(domain, self._fed):
-            if self._hist is None or self._hist.size < domain:
-                self._hist = _grown(self._hist, domain, np.int64)
-                self._seen = _grown(self._seen, domain, bool)
+        self._fed += stats.n_accesses
+        # row_ids are sorted, and the highest activated row is the
+        # highest touched one.
+        domain = int(stats.row_ids[-1]) + 1
+        # The histogram is 8*domain bytes; past a few multiples of the
+        # lines fed so far it would dwarf the sort-merge it replaces.
+        if self._row_parts is None and domain <= max(1 << 22, 2 * self._fed):
+            if self._hist.size < domain:
+                growth = np.zeros(domain - self._hist.size, dtype=np.int64)
+                self._hist = np.concatenate([self._hist, growth])
             with PROFILER.phase("chunk_merge"):
-                # row_ids are unique within a chunk, so the histogram
-                # scatter needs no np.add.at; the bitmap tolerates
-                # duplicates.
-                self._seen[global_row] = True
+                # row_ids are unique within a chunk: no np.add.at needed.
                 self._hist[stats.row_ids] += stats.acts_per_row
-            if not self.keep_detail:
-                # The chunk's per-row arrays now live in the dense
-                # accumulators; retaining them per part as well made a
-                # long streamed window hold every chunk's histogram at
-                # once (gigabytes over a 100M-line trace).  Keep only
-                # the scalar tallies the merged result needs.
-                self._parts[-1] = TraceStats(
-                    n_accesses=stats.n_accesses,
-                    n_activations=stats.n_activations,
-                    n_hits=stats.n_hits,
-                    row_ids=_EMPTY_ROW_IDS,
-                    acts_per_row=_EMPTY_ROW_IDS,
-                    unique_rows_touched=stats.unique_rows_touched,
-                )
-        else:
-            if self._seen is not None:
-                # Domain outgrew the dense budget mid-stream: fold the
-                # bitmap into the list form and continue sort-merged.
-                self._touched.append(np.flatnonzero(self._seen).astype(np.int64))
-                if not self.keep_detail and len(self._parts) > 1:
-                    # The dense-era parts were slimmed to scalars, so
-                    # the histogram is the only copy of their per-row
-                    # counts: collapse it into one synthetic part the
-                    # sort-based merge can consume.
-                    prefix = self._parts[:-1]
-                    ids = np.flatnonzero(self._hist)
-                    folded = TraceStats(
-                        n_accesses=sum(p.n_accesses for p in prefix),
-                        n_activations=sum(p.n_activations for p in prefix),
-                        n_hits=sum(p.n_hits for p in prefix),
-                        row_ids=ids,
-                        acts_per_row=self._hist[ids],
-                        unique_rows_touched=int(ids.size),
-                    )
-                    self._parts = [folded, self._parts[-1]]
-                self._hist = self._seen = None
-            self._dense = False
-            self._touched.append(unique_row_ids(global_row, domain))
+            return stats
+        if self._row_parts is None:
+            self._row_parts = [_histogram_part(self._hist)]
+            self._hist = _EMPTY_ROW_IDS  # released: the dense path is off for good
+        self._row_parts.append(TraceStats(0, 0, 0, stats.row_ids, stats.acts_per_row, 0))
         return stats
 
     def result(self) -> TraceStats:
         """Merged statistics across all chunks fed so far."""
-        if self._hist is not None and not self._touched:
-            return self._dense_result()
         merged = TraceStats.merge(self._parts)
-        if self._touched:
-            merged.unique_rows_touched = int(np.unique(np.concatenate(self._touched)).size)
+        if self._row_parts is None:
+            rows = _histogram_part(self._hist)
+        else:
+            rows = TraceStats.merge(self._row_parts)
+        merged.row_ids, merged.acts_per_row = rows.row_ids, rows.acts_per_row
+        merged.unique_rows_touched = rows.unique_rows_touched
         return merged
 
-    def _dense_result(self) -> TraceStats:
-        """Window merge from the dense accumulators.
 
-        Same contract as :meth:`TraceStats.merge` plus the exact
-        touched-row count -- row ids come out of ``np.flatnonzero``
-        sorted, counts from the histogram, details concatenated in chunk
-        order, all bit-identical to the reference merge.
-        """
-        parts = self._parts
-        row_ids = np.flatnonzero(self._hist)
-        rows_kept = [p.act_rows is not None for p in parts]
-        cols_kept = [p.act_cols is not None for p in parts]
-        keep = bool(parts) and all(rows_kept) and (all(cols_kept) or not any(cols_kept))
-        return TraceStats(
-            n_accesses=sum(p.n_accesses for p in parts),
-            n_activations=sum(p.n_activations for p in parts),
-            n_hits=sum(p.n_hits for p in parts),
-            row_ids=row_ids,
-            acts_per_row=self._hist[row_ids],
-            unique_rows_touched=int(np.count_nonzero(self._seen)),
-            act_rows=np.concatenate([p.act_rows for p in parts]) if keep else None,
-            act_cols=(
-                np.concatenate([p.act_cols for p in parts])
-                if keep and all(cols_kept)
-                else None
-            ),
-        )
+def _histogram_part(hist: np.ndarray) -> TraceStats:
+    """A tally-free part carrying a dense histogram's per-row counts."""
+    ids = np.flatnonzero(hist)
+    return TraceStats(0, 0, 0, ids, hist[ids], int(ids.size))
 
 
-__all__ = ["TraceStats", "analyze_trace", "ChunkedAnalyzer", "unique_row_ids"]
+__all__ = ["TraceStats", "analyze_trace", "ChunkedAnalyzer"]

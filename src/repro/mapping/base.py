@@ -14,13 +14,35 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from functools import reduce
+from operator import xor
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.dram.config import Coordinate, DRAMConfig
+from repro.utils.bitops import mask, parity
 
 FIELD_ORDER = ("channel", "rank", "bank", "row", "col")
+
+
+def _bit_runs(bits: Sequence[int]) -> List[List[int]]:
+    """``[src, dst, width]`` runs: field bits ``dst..`` are address bits ``src..``.
+
+    Wherever consecutive field bits take consecutive address bits, one
+    shift and mask moves the whole stretch, as litex's
+    ``DRAMAddressConverter`` does for its contiguous fields.
+
+    >>> _bit_runs([0, 1, 9, 2, 3, 4])
+    [[0, 0, 2], [9, 2, 1], [2, 3, 3]]
+    """
+    runs: List[List[int]] = []
+    for dst, src in enumerate(bits):
+        if runs and runs[-1][0] + runs[-1][2] == src:
+            runs[-1][2] += 1
+        else:
+            runs.append([src, dst, 1])
+    return runs
 
 
 @dataclass
@@ -116,6 +138,15 @@ class AddressMapping(abc.ABC):
         """
         raise NotImplementedError(f"{self.name} does not implement inverse()")
 
+    def _line_array(self, lines: np.ndarray, validate: bool) -> np.ndarray:
+        """``lines`` as uint64, range-checked by one max scan if ``validate``."""
+        lines = np.asarray(lines, dtype=np.uint64)
+        if validate and lines.size and int(lines.max()) >= self.config.total_lines:
+            raise ValueError(
+                f"line addresses exceed the {self.config.capacity_bytes} byte memory"
+            )
+        return lines
+
     def _check_line(self, line_addr: int) -> None:
         if not 0 <= line_addr < self.config.total_lines:
             raise ValueError(
@@ -153,26 +184,22 @@ class FieldDecodeMapping(AddressMapping):
                 f"got {len(bank_hash_row_bits)}"
             )
         self.bank_hash_row_bits = bank_hash_row_bits
+        # Geometry counts are powers of two, so the flat bank id is the
+        # bank, rank and channel bits concatenated: one gathered field.
+        fb = self.field_bits
+        self._flat_runs = _bit_runs(fb["bank"] + fb["rank"] + fb["channel"])
+        self._row_runs = _bit_runs(fb["row"])
+        self._col_runs = _bit_runs(fb["col"])
+        # Bank hash bit i is the parity of the row bits under mask i (a
+        # row bit listed twice cancels, as in the xor fold).
+        self._hash_masks = [
+            reduce(xor, (1 << rb for rb in row_bits), 0) & mask(config.row_bits)
+            for row_bits in bank_hash_row_bits or []
+        ]
 
     # ------------------------------------------------------------------
-    def _expected_widths(self) -> Dict[str, int]:
-        c = self.config
-        return {
-            "channel": c.channel_bits,
-            "rank": c.rank_bits,
-            "bank": c.bank_bits,
-            "row": c.row_bits,
-            "col": c.col_bits,
-        }
-
     def _validate_spec(self, field_bits: Dict[str, Sequence[int]]) -> None:
-        widths = {
-            "channel": self.config.channel_bits,
-            "rank": self.config.rank_bits,
-            "bank": self.config.bank_bits,
-            "row": self.config.row_bits,
-            "col": self.config.col_bits,
-        }
+        widths = {field: getattr(self.config, f"{field}_bits") for field in FIELD_ORDER}
         used: List[int] = []
         for field in FIELD_ORDER:
             bits = list(field_bits.get(field, []))
@@ -188,28 +215,35 @@ class FieldDecodeMapping(AddressMapping):
             )
 
     # ------------------------------------------------------------------
-    def _gather_field(self, lines: np.ndarray, bits: Sequence[int]) -> np.ndarray:
-        out = np.zeros(lines.shape, dtype=np.uint64)
-        for i, src in enumerate(bits):
-            out |= ((lines >> np.uint64(src)) & np.uint64(1)) << np.uint64(i)
-        return out
-
-    def _hash_bank(self, bank: np.ndarray, row: np.ndarray) -> np.ndarray:
-        if self.bank_hash_row_bits is None:
-            return bank
-        hashed = bank.copy() if isinstance(bank, np.ndarray) else bank
-        for bit_index, row_bits in enumerate(self.bank_hash_row_bits):
-            fold = np.zeros(row.shape, dtype=np.uint64) if isinstance(row, np.ndarray) else 0
-            for rb in row_bits:
-                if isinstance(row, np.ndarray):
-                    fold ^= (row >> np.uint64(rb)) & np.uint64(1)
-                else:
-                    fold ^= (row >> rb) & 1
-            if isinstance(bank, np.ndarray):
-                hashed = hashed ^ (fold << np.uint64(bit_index))
+    @staticmethod
+    def _gather_field(lines: np.ndarray, runs: List[List[int]]) -> np.ndarray:
+        """Assemble one field with one shift and one mask per bit run."""
+        out = None
+        for src, dst, width in runs:
+            part = lines >> np.uint64(src)
+            part &= np.uint64(mask(width))
+            if dst:
+                part <<= np.uint64(dst)
+            if out is None:
+                out = part
             else:
-                hashed ^= fold << bit_index
+                out |= part
+        return np.zeros(lines.shape, dtype=np.uint64) if out is None else out
+
+    def _bank_hash(self, row: np.ndarray) -> np.ndarray:
+        """Per-access bank hash: bit ``i`` is the parity of ``row & mask_i``."""
+        hashed = np.zeros(row.shape, dtype=np.min_scalar_type(self.config.banks - 1))
+        masked = np.empty_like(row)
+        for bit, row_mask in enumerate(self._hash_masks):
+            np.bitwise_and(row, np.uint64(row_mask), out=masked)
+            hashed |= parity(masked).astype(hashed.dtype, copy=False) << bit
         return hashed
+
+    def _hash_bank(self, bank: int, row: int) -> int:
+        for bit_index, row_bits in enumerate(self.bank_hash_row_bits or []):
+            for rb in row_bits:
+                bank ^= ((row >> rb) & 1) << bit_index
+        return bank
 
     # ------------------------------------------------------------------
     def translate(self, line_addr: int) -> Coordinate:
@@ -225,20 +259,12 @@ class FieldDecodeMapping(AddressMapping):
         return Coordinate(**values)
 
     def translate_trace(self, lines: np.ndarray, *, validate: bool = True) -> MappedTrace:
-        lines = np.asarray(lines, dtype=np.uint64)
-        if validate and lines.size and int(lines.max()) >= self.config.total_lines:
-            raise ValueError(
-                f"line addresses exceed the {self.config.capacity_bytes} byte memory"
-            )
-        channel = self._gather_field(lines, self.field_bits["channel"])
-        rank = self._gather_field(lines, self.field_bits["rank"])
-        bank = self._gather_field(lines, self.field_bits["bank"])
-        row = self._gather_field(lines, self.field_bits["row"])
-        col = self._gather_field(lines, self.field_bits["col"])
-        bank = self._hash_bank(bank, row)
-        flat = (channel * np.uint64(self.config.ranks) + rank) * np.uint64(
-            self.config.banks
-        ) + bank
+        lines = self._line_array(lines, validate)
+        flat = self._gather_field(lines, self._flat_runs)
+        row = self._gather_field(lines, self._row_runs)
+        col = self._gather_field(lines, self._col_runs)
+        if self._hash_masks:
+            flat ^= self._bank_hash(row)
         return MappedTrace(flat_bank=flat, row=row, col=col, rows_per_bank=self.config.rows_per_bank)
 
     def inverse(self, coord: Coordinate) -> int:

@@ -100,24 +100,14 @@ def reverse_bits(value: int, width: int) -> int:
 
 
 def parity(value: IntOrArray) -> IntOrArray:
-    """Bit parity (xor-reduction of all bits) of ``value``.
+    """Bit parity (xor-reduction of all bits) of ``value``; uint8 for arrays.
 
     Used by xor-hash bank-index functions, which compute the parity of a
     masked subset of address bits.
     """
     if isinstance(value, np.ndarray):
-        v = value.astype(np.uint64)
-        for shift in (32, 16, 8, 4, 2, 1):
-            v ^= v >> np.uint64(shift)
-        return (v & np.uint64(1)).astype(np.uint64)
-    v = int(value)
-    v ^= v >> 32
-    v ^= v >> 16
-    v ^= v >> 8
-    v ^= v >> 4
-    v ^= v >> 2
-    v ^= v >> 1
-    return v & 1
+        return np.bitwise_count(value) & np.uint8(1)
+    return bin(int(value)).count("1") & 1
 
 
 __all__ = [

@@ -57,9 +57,11 @@ def test_accounting_invariants(trace):
     assert int(stats.acts_per_row.sum()) == stats.n_activations
     # Hot rows are monotone in the threshold.
     assert stats.hot_rows(1) >= stats.hot_rows(2) >= stats.hot_rows(100)
-    # Every touched row with an activation appears in the histogram.
+    # Every touched row opens a run with an activation, so the rows
+    # touched are exactly the histogram's rows.
     assert stats.hot_rows(1) == len(stats.row_ids)
-    assert stats.unique_rows_touched >= len(stats.row_ids)
+    assert stats.unique_rows_touched == len(stats.row_ids)
+    assert stats.unique_rows_touched == len(set(trace))
 
 
 @given(trace=traces, threshold=st.integers(min_value=1, max_value=8))

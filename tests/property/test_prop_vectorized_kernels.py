@@ -15,7 +15,13 @@ a test oracle; these tests pin the contract the optimization relies on:
   one-shot-validation fast path,
 * ``XorRemapEngine.remap_steps`` (closed form) vs the stepwise walk,
   across epoch wrap-arounds,
-* a full dynamic window on the production kernels vs the oracles.
+* a full dynamic window on the production kernels vs the oracles,
+* ``FieldDecodeMapping.translate_trace`` (bit runs, popcount bank hash)
+  vs :func:`~repro.perf.hotpath_bench.field_decode_reference` and the
+  scalar ``translate`` on random interleaved layouts and hash sets,
+* the table-driven Feistel rounds vs
+  :func:`~repro.perf.hotpath_bench.feistel_reference` and the scalar
+  cipher, for widths on both sides of the 16-bit-half cutoff.
 """
 
 import numpy as np
@@ -26,12 +32,18 @@ from hypothesis import strategies as st
 from repro.core.remap_engine import XorRemapEngine
 from repro.core.rubix_d import RubixDMapping
 from repro.core.rubix_s import RubixSMapping
+from repro.crypto.feistel import FeistelNetwork
 from repro.dram.config import DRAMConfig
 from repro.dram.fast_model import ChunkedAnalyzer, _analyze_trace_sorted, analyze_trace
+from repro.mapping.base import FIELD_ORDER, FieldDecodeMapping, fields_from_segments
 from repro.perf.hotpath_bench import (
     SortedChunkAnalyzer,
     _use_loop_remap,
+    assert_mapped_equal,
     assert_stats_equal,
+    feistel_reference,
+    field_decode_reference,
+    rubix_s_reference,
     run_window,
     synth_lines,
 )
@@ -87,16 +99,20 @@ def test_count_kernel_matches_sort_kernel(trace, max_hits, keep_detail):
     )
 
 
-@given(rows=st.integers(min_value=0, max_value=10_000))
+@given(
+    rows=st.integers(min_value=0, max_value=10_000),
+    rows_per_bank=st.sampled_from([1 << 24, 1 << 30]),
+)
 @settings(max_examples=30, deadline=None)
-def test_count_kernel_beyond_histogram_domain(rows):
-    """Row ids past the dense-histogram cutoff use the np.unique fallback
-    and still match the reference."""
+def test_count_kernel_beyond_histogram_domain(rows, rows_per_bank):
+    """Row ids far beyond the window length still match the reference,
+    in the int32 work dtype (2^24 rows per bank) and past it (2^30 rows
+    per bank puts bank 3's ids above 2^31)."""
     rng = np.random.default_rng(rows)
-    banks = rng.integers(0, 2, size=200, dtype=np.uint64)
-    row = rng.integers(0, 1 << 24, size=200, dtype=np.uint64)
-    a = _analyze_trace_sorted(banks, row, rows_per_bank=1 << 24, max_hits=16)
-    b = analyze_trace(banks, row, rows_per_bank=1 << 24, max_hits=16)
+    banks = rng.integers(0, 4, size=200, dtype=np.uint64)
+    row = rng.integers(0, rows_per_bank, size=200, dtype=np.uint64)
+    a = _analyze_trace_sorted(banks, row, rows_per_bank=rows_per_bank, max_hits=16)
+    b = analyze_trace(banks, row, rows_per_bank=rows_per_bank, max_hits=16)
     _assert_stats_identical(a, b)
 
 
@@ -127,24 +143,122 @@ def test_chunked_analyzer_count_matches_sort(seed, rows_per_bank, n_chunks, keep
     _assert_stats_identical(sort.result(), count.result())
 
 
-def test_chunked_analyzer_dense_to_fallback_midstream():
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    dense_before=st.integers(min_value=0, max_value=3),
+    dense_after=st.integers(min_value=0, max_value=2),
+    keep_detail=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_chunked_analyzer_dense_to_fallback_midstream(
+    seed, dense_before, dense_after, keep_detail
+):
     """A chunk whose row domain outgrows the dense-histogram budget
-    mid-window folds the accumulated state into the fallback merge
-    without losing any earlier chunk's contribution."""
-    rng = np.random.default_rng(3)
-    count = ChunkedAnalyzer(rows_per_bank=64, max_hits=16)
-    sort = SortedChunkAnalyzer(rows_per_bank=64, max_hits=16)
-    chunks = [
-        (rng.integers(0, 4, 200, dtype=np.uint64), rng.integers(0, 64, 200, dtype=np.uint64)),
-        # Out-of-spec row indices blow up the observed domain (the
-        # analyzer derives it from the data, not the config).
-        (rng.integers(0, 4, 200, dtype=np.uint64), rng.integers(0, 1 << 30, 200, dtype=np.uint64)),
-        (rng.integers(0, 4, 200, dtype=np.uint64), rng.integers(0, 64, 200, dtype=np.uint64)),
-    ]
-    for banks, rows in chunks:
-        count.feed(banks, rows)
-        sort.feed(banks, rows)
+    mid-window -- after any number of dense chunks, before more --
+    moves the analyzer to the fallback merge without losing any
+    chunk's contribution; the touched-row count matches the oracle's
+    independent one."""
+    rng = np.random.default_rng(seed)
+    count = ChunkedAnalyzer(rows_per_bank=64, max_hits=16, keep_detail=keep_detail)
+    sort = SortedChunkAnalyzer(rows_per_bank=64, max_hits=16, keep_detail=keep_detail)
+    # Out-of-spec row indices blow up the observed domain (the analyzer
+    # derives it from the data, not the config).
+    row_limits = [64] * dense_before + [1 << 30] + [64] * dense_after
+    for row_limit in row_limits:
+        n = int(rng.integers(1, 300))
+        banks = rng.integers(0, 4, size=n, dtype=np.uint64)
+        rows = rng.integers(0, row_limit, size=n, dtype=np.uint64)
+        cols = rng.integers(0, 128, size=n, dtype=np.uint64)
+        _assert_stats_identical(sort.feed(banks, rows, cols), count.feed(banks, rows, cols))
+    assert count._row_parts
     _assert_stats_identical(sort.result(), count.result())
+
+
+@st.composite
+def decode_layouts(draw):
+    """A random geometry, an interleaved field layout and a bank hash."""
+    config = DRAMConfig(
+        channels=draw(st.sampled_from([1, 2, 4])),
+        ranks=draw(st.sampled_from([1, 2])),
+        banks=draw(st.sampled_from([1, 2, 4, 16])),
+        rows_per_bank=draw(st.sampled_from([64, 1024])),
+        row_bytes=draw(st.sampled_from([512, 8192])),
+    )
+    pieces = []
+    for name in FIELD_ORDER:
+        left = getattr(config, f"{name}_bits")
+        while left:
+            width = draw(st.integers(min_value=1, max_value=left))
+            pieces.append((name, width))
+            left -= width
+    segments = draw(st.permutations(pieces))
+    row_bit = st.integers(min_value=0, max_value=config.row_bits - 1)
+    bank_hash = draw(
+        st.none()
+        | st.lists(
+            st.lists(row_bit, max_size=config.row_bits + 2),
+            min_size=config.bank_bits,
+            max_size=config.bank_bits,
+        )
+    )
+    mapping = FieldDecodeMapping(
+        config, fields_from_segments(config, segments), bank_hash_row_bits=bank_hash
+    )
+    return mapping
+
+
+@given(mapping=decode_layouts(), seed=st.integers(min_value=0, max_value=2**16))
+@settings(max_examples=120, deadline=None)
+def test_field_decode_matches_oracle_and_scalar(mapping, seed):
+    """Run-based decode == per-bit oracle == scalar translate, for
+    interleaved layouts and hash row-bit sets (duplicates included)."""
+    config = mapping.config
+    rng = np.random.default_rng(seed)
+    lines = rng.integers(0, config.total_lines, size=512, dtype=np.uint64)
+    mapped = mapping.translate_trace(lines)
+    assert mapped.flat_bank.dtype == mapped.row.dtype == mapped.col.dtype == np.uint64
+    assert_mapped_equal(field_decode_reference(mapping, lines), mapped)
+    for i in range(0, lines.size, 37):
+        coord = mapping.translate(int(lines[i]))
+        assert int(mapped.flat_bank[i]) == config.flat_bank(coord)
+        assert int(mapped.row[i]) == coord.row
+        assert int(mapped.col[i]) == coord.col
+        assert mapping.inverse(coord) == int(lines[i])
+
+
+@given(
+    width=st.integers(min_value=2, max_value=40),
+    key=st.integers(min_value=0, max_value=2**64 - 1),
+    rounds=st.sampled_from([2, 4, 6]),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@settings(max_examples=120, deadline=None)
+def test_feistel_tables_match_round_function(width, key, rounds, seed):
+    """Table rounds (halves <= 16 bits) and arithmetic rounds (wider)
+    both match the arithmetic oracle, round-trip, and agree with the
+    scalar cipher."""
+    network = FeistelNetwork(width, key, rounds=rounds)
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, 1 << width, size=256, dtype=np.uint64)
+    encrypted = network.encrypt(values)
+    decrypted = network.decrypt(values)
+    assert encrypted.dtype == decrypted.dtype == np.uint64
+    assert np.array_equal(encrypted, feistel_reference(network, values))
+    assert np.array_equal(decrypted, feistel_reference(network, values, inverse=True))
+    assert np.array_equal(network.decrypt(encrypted), values)
+    assert np.array_equal(network.encrypt(decrypted), values)
+    for i in range(0, values.size, 51):
+        assert network.encrypt(int(values[i])) == int(encrypted[i])
+        assert network.decrypt(int(values[i])) == int(decrypted[i])
+    assert (network._tables is not None) == (width <= 32)
+
+
+@pytest.mark.parametrize("gang_size", [1, 2, 4])
+def test_rubix_s_matches_oracle(gang_size):
+    """Rubix-S on the production kernels == arithmetic cipher + per-bit decode."""
+    mapping = RubixSMapping(SMALL, gang_size=gang_size, seed=0x5A)
+    lines = synth_lines(8192, SMALL, seed=gang_size)
+    assert_mapped_equal(rubix_s_reference(mapping, lines), mapping.translate_trace(lines))
 
 
 @pytest.mark.parametrize("gang_size", [1, 2, 4])

@@ -376,6 +376,20 @@ class TestBenchRegress:
         regressions, comparisons = bench.check_regressions(history, 15.0)
         assert regressions == [] and comparisons == []
 
+    def test_new_kernel_reported_without_baseline(self, tmp_path, capsys):
+        bench = _load_bench_regress()
+        history = [
+            self._pair({"translate_trace": 1.0}),
+            self._pair({"translate_trace": 1.0, "translate.mop": 0.5}),
+        ]
+        regressions, comparisons = bench.check_regressions(history, 15.0)
+        assert regressions == [] and [c[0] for c in comparisons] == ["translate_trace"]
+        assert bench.no_baseline(history) == ["translate.mop"]
+        path = tmp_path / "history.json"
+        path.write_text(json.dumps({"history": history}))
+        assert bench.main(["--history", str(path)]) == 0
+        assert "translate.mop: no baseline" in capsys.readouterr().out
+
     def test_single_entry_history_passes_vacuously(self):
         bench = _load_bench_regress()
         assert bench.check_regressions([self._pair({"k": 1.0})], 15.0) == ([], [])
