@@ -17,15 +17,20 @@
 #      (scripts/validate_telemetry.py), so instrumentation and catalog
 #      cannot drift apart;
 #   5. fault-tolerant campaign service smoke: two overlapping tenants,
-#      seeded chaos killing workers, exactly-once journal, resume
-#      (scripts/service_smoke.py), telemetry validated like stage 4;
+#      seeded chaos killing the service's own loopback socket workers,
+#      exactly-once journal, resume (scripts/service_smoke.py),
+#      telemetry validated like stage 4;
 #   6. playbook sweep fuzzer smoke: seeded tiny sweep + bisection,
 #      exact re-run reproducibility, Rubix-S blind-vs-informed contrast
 #      (scripts/fuzz_smoke.py), telemetry schema-validated;
 #   7. distributed-service smoke: socket workers under seeded wire
 #      chaos plus the zero-worker fallback
 #      (scripts/distributed_smoke.py), telemetry and span trees
-#      validated.
+#      validated;
+#   8. benchmark hook guard: the service-grid tests of perfbench/, whose
+#      traced run wraps repro.service.scheduler.service_worker_main to
+#      collect worker-side spans -- a change that breaks that hook fails
+#      here rather than only in a benchmark run.
 #
 # Per-test timeouts come from [tool.pytest.ini_options] in
 # pyproject.toml (pytest-timeout, or the conftest SIGALRM fallback);
@@ -74,8 +79,9 @@ run_bounded "$SMOKE_BUDGET" env REPRO_TELEMETRY_DIR="$TELEMETRY_DIR" \
 run_bounded 60 python scripts/validate_telemetry.py "$TELEMETRY_DIR"
 
 # Stage 5: campaign-service smoke -- overlapping tenants under seeded
-# chaos (worker kills, duplicated completions), exactly-once journal,
-# chaos-free resume; telemetry validated like stage 4.
+# chaos (kills of the service's own loopback socket workers, duplicated
+# completions), exactly-once journal, chaos-free resume; telemetry
+# validated like stage 4.
 SERVICE_TELEMETRY_DIR="$(mktemp -d -t rubix-service-telemetry-XXXXXX)"
 trap 'rm -rf "$TELEMETRY_DIR" "$SERVICE_TELEMETRY_DIR"' EXIT
 run_bounded "$SMOKE_BUDGET" env REPRO_TELEMETRY_DIR="$SERVICE_TELEMETRY_DIR" \
@@ -107,3 +113,8 @@ run_bounded "$SMOKE_BUDGET" env REPRO_TELEMETRY_DIR="$DIST_TELEMETRY_DIR" \
 # parent span present (the smoke also hits /metrics//healthz//status
 # mid-run and asserts the scheduler+workers share one rooted trace).
 run_bounded 60 python scripts/validate_telemetry.py "$DIST_TELEMETRY_DIR" --traces
+
+# Stage 8: benchmark hook guard -- the service-grid benchmark tests,
+# including a traced run whose worker-side spans come through the
+# service_worker_main wrapper (about 20 s).
+run_bounded "$SMOKE_BUDGET" python -m pytest -q perfbench -k service

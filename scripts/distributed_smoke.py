@@ -26,8 +26,8 @@ Exercises the network failure envelope end to end on a small grid:
 6. the telemetry events must reassemble into a single rooted trace:
    the scheduler's service.submit span plus campaign.cell spans from
    >= 2 other processes (the socket workers), with zero orphans;
-7. a scheduler that listens but is never dialed must degrade to a local
-   Pipe pool at its fallback deadline and still complete.
+7. a scheduler that listens but is never dialed must spawn workers of
+   its own at its fallback deadline and still complete.
 
 Exit status 0 on success, 1 on any mismatch.  Telemetry is always on
 for this smoke: artifacts land in REPRO_TELEMETRY_DIR when set (the CI
@@ -76,7 +76,7 @@ WIRE_CHAOS = ChaosSpec(
     wire_conn_drop_frac=0.15,
     wire_delay_frac=0.1,
     wire_delay_s=0.05,
-    wire_duplicate_frac=0.15,
+    duplicate_frac=0.15,
 )
 
 #: Short leases so a lost completion frame expires inside smoke time; a
@@ -329,8 +329,8 @@ def main() -> int:
         if trace_error:
             return fail(trace_error)
 
-    # Degraded mode: a listening scheduler nobody dials must fall back
-    # to a local Pipe pool and still complete.
+    # Degraded mode: a listening scheduler nobody dials must spawn
+    # workers of its own and still complete.
     fallback_config = ServiceConfig(
         workers=2,
         listen="127.0.0.1:0",

@@ -1,7 +1,7 @@
 """Reassemble distributed trace trees from a telemetry directory.
 
-Every process in a run -- scheduler, Pipe workers, socket workers on
-other hosts -- appends its finished spans to its own
+Every process in a run -- scheduler, pool workers, service workers on
+this or other hosts -- appends its finished spans to its own
 ``events-<run>-<pid>.jsonl`` file, each span stamped with the
 ``(trace_id, span_id, parent_span_id)`` triple minted by
 :mod:`repro.obs.tracing` and propagated through cell assignments.  This

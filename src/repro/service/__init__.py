@@ -8,21 +8,20 @@ recovers from lost workers by re-dispatching expired leases, and
 commits each cell's record exactly once to a durable
 :class:`~repro.resilience.journal.CheckpointJournal`.
 
-Workers come in two substrates speaking the same protocol
-(:mod:`repro.service.protocol`): in-process Pipe workers (the default,
-byte-identical to the original pool) and TCP socket workers
-(:mod:`repro.service.net_worker`) framed by
-:mod:`repro.service.transport` -- point the scheduler at a listen
-address (``ServiceConfig.listen``) and run ``repro-run work --connect``
-on any host.
+Workers are processes speaking the lease protocol
+(:mod:`repro.service.protocol`) as checksummed frames over TCP
+(:mod:`repro.service.transport`).  The scheduler always listens: by
+default on an ephemeral loopback port, dialed by the ``workers``
+processes it spawns itself; with ``ServiceConfig.listen`` set, on that
+address, dialed by ``repro-run work --connect`` on any host
+(:mod:`repro.service.worker`).
 
 The chaos harness (:mod:`repro.service.chaos`) injects worker kills,
 heartbeat stalls, duplicated/reordered completions, journal truncation,
-and -- for the socket substrate -- wire faults (dropped, corrupted,
-truncated, delayed, duplicated frames; dropped connections) on a
-seeded, reproducible schedule; the integration tests use it to prove
-the service's results stay identical to a serial :meth:`Campaign.run`
-under failure.
+and wire faults (dropped, corrupted, truncated, delayed frames; dropped
+connections) on a seeded, reproducible schedule; the integration tests
+use it to prove the service's results stay identical to a serial
+:meth:`Campaign.run` under failure.
 """
 
 from repro.service.chaos import (
@@ -37,7 +36,6 @@ from repro.service.chaos import (
     truncate_journal_tail,
 )
 from repro.service.lease import Lease, LeaseTable, lease_id_for
-from repro.service.net_worker import run_net_worker, spawn_net_workers
 from repro.service.protocol import (
     CellAssignment,
     CompletionMsg,
@@ -57,6 +55,7 @@ from repro.service.scheduler import (
     run_service,
 )
 from repro.service.transport import FramedSocket, connect, listen_socket
+from repro.service.worker import run_net_worker, spawn_net_workers
 
 __all__ = [
     "KILLED_EXIT_CODE",

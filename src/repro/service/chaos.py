@@ -11,7 +11,7 @@ failures, reproducibly:
   stops heartbeating and sits on the completion longer than the lease
   timeout, so the scheduler expires the lease and re-dispatches while
   the original eventually delivers a *late* (stale-lease) completion;
-* **duplicated completions** -- the same completion message is sent
+* **duplicated completions** -- the same completion frame is sent
   twice, exercising idempotent commitment;
 * **reordered completions** -- the scheduler-side :class:`CompletionGate`
   holds every k-th completion back one message, exercising
@@ -19,14 +19,17 @@ failures, reproducibly:
 * **journal truncation** -- :func:`truncate_journal_tail` tears the
   final JSONL record of a checkpoint journal, simulating a crash
   mid-write on a filesystem without atomic rename;
-* **wire faults** (socket transport only) -- a completion frame can be
-  *dropped* (lost in the network: the worker stays healthy but the
-  scheduler must expire the lease), *corrupted* (one payload byte
-  flipped: the CRC fails, the frame is discarded, and the peer is
-  nacked into resending), *truncated* (a torn write followed by a
-  connection close: a half-open socket), *duplicated*, or *delayed*;
-  independently the whole connection can be *dropped* right after a
-  clean send, forcing the worker through its reconnect/backoff path.
+* **wire faults** -- a completion frame can be *dropped* (lost in the
+  network: the worker stays healthy but the scheduler must expire the
+  lease), *corrupted* (one payload byte flipped: the CRC fails, the
+  frame is discarded, and the peer is nacked into resending),
+  *truncated* (a torn write followed by a connection close: a
+  half-open socket), or *delayed*; independently the whole connection
+  can be *dropped* right after a clean send, forcing the worker through
+  its reconnect/backoff path.
+
+Every worker applies both halves -- process faults (:meth:`ChaosEngine.decide`)
+and wire faults (:meth:`ChaosEngine.decide_wire`) -- on its one send path.
 
 Every decision is a pure function of ``(seed, cell key, attempt)`` via
 the same :func:`~repro.utils.prng.derive_key` construction the retry
@@ -69,15 +72,15 @@ class ChaosSpec:
         hang_s: How long a hanging worker sits on its completion; must
             exceed the service's lease timeout to actually trigger
             expiry.
-        duplicate_frac: P(the completion message is sent twice).
+        duplicate_frac: P(a clean completion frame is sent twice).
         reorder_every: Scheduler-side -- hold every k-th completion back
             one delivery (0 disables).
         max_hold_s: Longest the completion gate may hold a message (so
             a held *final* completion still drains).
-        wire_drop_frac: P(the completion frame vanishes in the network);
-            socket transport only.  The fates partition one unit
-            interval in priority order drop > corrupt > truncate, so at
-            most one frame fate fires per cell.
+        wire_drop_frac: P(the completion frame vanishes in the
+            network).  The fates partition one unit interval in priority
+            order drop > corrupt > truncate, so at most one frame fate
+            fires per cell.
         wire_corrupt_frac: P(one payload byte of the completion frame is
             flipped -- the receiver's CRC must catch it).
         wire_truncate_frac: P(the completion frame is torn mid-write and
@@ -88,9 +91,6 @@ class ChaosSpec:
         wire_delay_frac: P(the completion send is delayed by
             ``wire_delay_s``); independent draw.
         wire_delay_s: How long a delayed send sleeps.
-        wire_duplicate_frac: P(the completion frame is sent twice);
-            independent draw (distinct from ``duplicate_frac``, which
-            duplicates the in-process message on the Pipe substrate).
     """
 
     seed: int = 2024
@@ -107,7 +107,6 @@ class ChaosSpec:
     wire_conn_drop_frac: float = 0.0
     wire_delay_frac: float = 0.0
     wire_delay_s: float = 0.0
-    wire_duplicate_frac: float = 0.0
 
     def __post_init__(self) -> None:
         total = self.kill_before_frac + self.kill_after_frac + self.hang_frac
@@ -132,7 +131,6 @@ class ChaosSpec:
             "wire_truncate_frac",
             "wire_conn_drop_frac",
             "wire_delay_frac",
-            "wire_duplicate_frac",
         ):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -144,7 +142,7 @@ class ChaosSpec:
 
     @property
     def has_wire_faults(self) -> bool:
-        """Does this schedule ever touch the socket transport?"""
+        """Does this schedule ever fault a completion frame or connection?"""
         return any(
             getattr(self, name) > 0
             for name in (
@@ -153,7 +151,6 @@ class ChaosSpec:
                 "wire_truncate_frac",
                 "wire_conn_drop_frac",
                 "wire_delay_frac",
-                "wire_duplicate_frac",
             )
         )
 
@@ -181,16 +178,10 @@ class WireDecision:
     fate: str = "none"  # "none" | "drop" | "corrupt" | "truncate"
     conn_drop: bool = False  #: Close the connection after a clean send.
     delay_s: float = 0.0
-    duplicate: bool = False
 
     @property
     def benign(self) -> bool:
-        return (
-            self.fate == "none"
-            and not self.conn_drop
-            and not self.duplicate
-            and self.delay_s == 0.0
-        )
+        return self.fate == "none" and not self.conn_drop and self.delay_s == 0.0
 
     @property
     def drops_connection(self) -> bool:
@@ -272,12 +263,9 @@ class ChaosEngine:
             if _unit(spec.seed, f"{key}#wire-delay") < spec.wire_delay_frac
             else 0.0
         )
-        duplicate = _unit(spec.seed, f"{key}#wire-dup") < spec.wire_duplicate_frac
-        if fate == "none" and not conn_drop and not duplicate and delay == 0.0:
+        if fate == "none" and not conn_drop and delay == 0.0:
             return _NO_WIRE_CHAOS
-        return WireDecision(
-            fate=fate, conn_drop=conn_drop, delay_s=delay, duplicate=duplicate
-        )
+        return WireDecision(fate=fate, conn_drop=conn_drop, delay_s=delay)
 
     def kill_now(self, action: str) -> None:  # pragma: no cover - exits
         """Terminate this worker process immediately (no cleanup)."""

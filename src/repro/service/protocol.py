@@ -1,32 +1,27 @@
 """Wire protocol between the campaign scheduler and its workers.
 
 Everything that crosses the scheduler/worker process boundary is one of
-the small, picklable dataclasses below, sent over one-directional
-``multiprocessing.Pipe`` connections (one task pipe and one result pipe
-per worker, so a worker dying mid-write can tear at most its *own*
-channel, never a shared queue).
+the small dataclasses below, shipped as a length-prefixed checksummed
+JSON frame over one TCP connection per worker session
+(:mod:`repro.service.transport`) -- loopback for the workers the
+scheduler spawns itself, any network for ``repro-run work`` workers.
 
 Scheduler -> worker: :class:`CellAssignment` (a leased cell),
 :class:`ShutdownMsg` (graceful drain), :class:`RegisteredMsg`
-(registration acknowledgement for socket workers), and :class:`NackMsg`
-(a frame from the worker failed integrity checks; please resend).
-Worker -> scheduler: :class:`HelloMsg` (socket-worker registration),
+(registration acknowledgement), and :class:`NackMsg` (a frame from the
+worker failed integrity checks; please resend).
+Worker -> scheduler: :class:`HelloMsg` (registration),
 :class:`HeartbeatMsg` (lease renewal), :class:`CompletionMsg` (a
 finished cell, carrying the lease identity that produced it so the
 scheduler can fence stale and duplicate deliveries), and
 :class:`GoodbyeMsg` (clean exit acknowledgement).
 
-The same message set crosses both substrates: local workers ship the
-dataclasses over ``multiprocessing.Pipe`` (pickle), remote workers ship
-them as length-prefixed checksummed JSON frames over TCP
-(:mod:`repro.service.transport`).
-
 Distributed trace context crosses with them: every
 :class:`CellAssignment` carries the submitting span's
 ``"trace_id:span_id"`` token inside its :class:`CellTask` (the
 ``trace`` field), so the worker-side cell spans parent under the
-scheduler's ``service.submit`` span regardless of substrate -- pickle
-and JSON framing both round-trip the token untouched.
+scheduler's ``service.submit`` span; the JSON framing round-trips the
+token untouched.
 
 Cells are identified by a *content digest* (:func:`cell_digest`): the
 same construction as the content-keyed stats cache
@@ -43,6 +38,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.errors import error_record
 from repro.parallel.executor import CellTask
 
 
@@ -73,6 +69,24 @@ def payload_digest(payload: dict) -> str:
     for key in sorted(payload):
         digest.update(f"{key}={payload[key]!r}|".encode())
     return digest.hexdigest()
+
+
+def cell_error_record(task: CellTask, error: BaseException, attempts: int) -> dict:
+    """The tidy error record of a cell that failed outside the simulation.
+
+    Used when a worker's cell raises unexpectedly and when the scheduler
+    gives up on a cell (retry or restart budget exhausted).
+    """
+    record = {
+        "workload": task.workload,
+        "mapping": task.spec.label,
+        "scheme": task.scheme,
+        "t_rh": task.t_rh,
+        "status": "error",
+        "attempts": attempts,
+    }
+    record.update(error_record(error))
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -200,5 +214,6 @@ __all__ = [
     "RegisteredMsg",
     "ShutdownMsg",
     "cell_digest",
+    "cell_error_record",
     "payload_digest",
 ]

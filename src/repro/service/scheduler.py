@@ -23,29 +23,30 @@ submissions:
   lease/attempt/epoch metadata); duplicated or stale-lease deliveries
   are dropped, safe because every attempt of a cell computes the same
   deterministic record;
-* **recovery**: dead workers are detected twice over (closed result
-  channel -> immediate; silent hang -> lease expiry) and respawned up
-  to a restart budget, and a scheduler restarted on the same journal
-  resumes without recomputing committed cells.
+* **recovery**: dead workers are detected twice over (closed
+  connection -> immediate; silent hang -> lease expiry), the
+  scheduler's own worker processes are respawned up to a restart
+  budget, and a scheduler restarted on the same journal resumes without
+  recomputing committed cells.
 
 The scheduler itself is a single asyncio task -- all state mutation
-happens on the event loop, so there are no locks around the lease table
-or cell map.  A reader thread multiplexes every worker's result pipe
-into the loop's inbox via ``call_soon_threadsafe``.
+happens on the event loop, so there are no locks around the lease
+table, cell map, or worker table.  One reader thread per worker
+connection feeds the loop's inbox via ``call_soon_threadsafe``.
 
-**Distributed mode** (``ServiceConfig.listen``): the scheduler also
-accepts TCP socket workers (:mod:`repro.service.net_worker`) speaking
-the framed transport (:mod:`repro.service.transport`).  Socket workers
-register with a Hello/Registered handshake, heartbeat over their
-connection (idle pings included, so a silent link is distinguishable
-from an idle worker), and stream completions back.  The *same* lease
-table, requeue path, and exactly-once commit logic cover both
-substrates: a dropped connection expires leases exactly like a dead
-process; a checksum-failed frame is discarded, nacked, and counted,
-never fatal.  If no socket worker shows up within
-``local_fallback_deadline_s`` while work is pending, the scheduler
-degrades gracefully by spawning its usual local Pipe workers -- a
-campaign always completes.
+**One worker substrate.**  Every worker is a socket worker
+(:mod:`repro.service.worker`) speaking the framed transport
+(:mod:`repro.service.transport`): it registers with a Hello/Registered
+handshake, heartbeats over its connection (idle pings included, so a
+silent link is distinguishable from an idle worker), and streams
+completions back.  The scheduler always listens -- on
+``ServiceConfig.listen`` when set, otherwise on an ephemeral loopback
+port that only the ``workers`` processes it spawns itself dial.  A
+dropped connection requeues that session's leases; a checksum-failed
+frame is discarded, nacked, and counted, never fatal.  In listen mode,
+if no worker shows up within ``local_fallback_deadline_s`` while work
+is pending, the scheduler degrades gracefully by spawning ``workers``
+processes of its own -- a campaign always completes.
 """
 
 from __future__ import annotations
@@ -54,11 +55,11 @@ import asyncio
 import itertools
 import multiprocessing
 import os
+import socket
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from multiprocessing import connection as mp_connection
 from pathlib import Path
 from typing import Deque, Dict, List, Optional, Union
 
@@ -68,7 +69,6 @@ from repro.errors import (
     ServiceStopped,
     TransportError,
     WorkerLostError,
-    error_record,
 )
 from repro.obs.live import LiveEndpoint
 from repro.obs.manifest import RunManifest
@@ -90,6 +90,7 @@ from repro.service.protocol import (
     RegisteredMsg,
     ShutdownMsg,
     cell_digest,
+    cell_error_record,
     payload_digest,
 )
 from repro.service.transport import FramedSocket, listen_socket
@@ -103,7 +104,9 @@ class ServiceConfig:
     """Tuning knobs for one :class:`CampaignService`.
 
     Attributes:
-        workers: Worker-process pool size.
+        workers: How many worker processes the scheduler spawns itself:
+            up front without ``listen``, as the degraded-mode pool with
+            it.
         lease_timeout_s: Heartbeat deadline; a lease silent this long is
             expired and its cell re-dispatched.
         heartbeat_interval_s: How often workers renew their lease (keep
@@ -116,24 +119,26 @@ class ServiceConfig:
         retry: Backoff/budget policy for *infrastructure* re-dispatches
             (``max_infra_attempts`` bounds dispatches per cell;
             ``delay_s`` spaces them deterministically).
-        mp_context: Multiprocessing start method ('fork', 'spawn', ...);
-            None uses the platform default.
+        mp_context: Start method ('fork', 'spawn', ...) of the worker
+            processes the scheduler spawns; None uses the platform
+            default.
         stats_cache_dir: Shared content-keyed stats-cache directory for
             workers; defaults to ``REPRO_STATS_CACHE`` when set.
-        listen: ``"host:port"`` to accept TCP socket workers on (port 0
-            binds an ephemeral port; see
-            :attr:`CampaignService.listen_address`).  ``None`` (the
-            default) keeps the classic in-process Pipe pool.  In listen
-            mode no local workers are spawned up front -- ``workers``
-            becomes the size of the degraded-mode local pool.
+        listen: ``"host:port"`` to accept workers from any host on (port
+            0 binds an ephemeral port; see
+            :attr:`CampaignService.listen_address`).  In listen mode no
+            workers are spawned up front -- ``workers`` becomes the size
+            of the degraded-mode pool.  ``None`` (the default) listens
+            on an ephemeral loopback port, for the scheduler's own
+            ``workers`` processes only.
         local_fallback_deadline_s: Listen mode only -- if work is
             pending and *no* worker is alive this long, the scheduler
-            spawns ``workers`` local Pipe workers so the campaign still
-            completes (degraded mode, counted by
+            spawns ``workers`` worker processes of its own so the
+            campaign still completes (degraded mode, counted by
             ``service.transport.fallback``).
         frame_timeout_s: Per-frame progress deadline on worker sockets;
             a connection stalled mid-frame this long is declared lost.
-        slow_worker_lag_s: A socket worker whose heartbeat-interval
+        slow_worker_lag_s: A worker whose heartbeat-interval
             drift exceeds this is flagged slow (gauge
             ``service.transport.heartbeat_lag_s``, counter
             ``service.transport.slow_workers``); detection only -- the
@@ -195,27 +200,21 @@ class _CellState:
 
 @dataclass
 class _Worker:
-    """Scheduler-side handle on one worker (local process or socket).
+    """Scheduler-side handle on one registered worker connection.
 
-    ``kind == "local"`` workers own a child process and a Pipe pair;
-    ``kind == "net"`` workers own a :class:`FramedSocket` (``conn``) and
-    the heartbeat-drift fields the slow-host detector feeds on:
-    intervals measured on the *sender's* monotonic clock
-    (``last_beat_monotonic``) are compared against intervals on the
-    scheduler's clock (``last_beat_received``), so lag needs no common
-    epoch between hosts.
+    A worker process that reconnects registers as a fresh ``_Worker``.
+    The heartbeat-drift fields feed the slow-host detector: intervals
+    measured on the *sender's* monotonic clock (``last_beat_monotonic``)
+    are compared against intervals on the scheduler's clock
+    (``last_beat_received``), so lag needs no common epoch between
+    hosts.
     """
 
     worker_id: str
-    process: Optional[multiprocessing.Process] = None
-    task_conn: Optional[mp_connection.Connection] = None
-    result_conn: Optional[mp_connection.Connection] = None
-    kind: str = "local"  # "local" | "net"
-    conn: Optional[FramedSocket] = None
-    name: str = ""  #: Stable self-chosen identity of a socket worker.
+    conn: FramedSocket
+    name: str = ""  #: Stable self-chosen identity of the worker process.
     state: str = "idle"  # "idle" | "busy" | "suspect" | "dead"
     current_lease: Optional[str] = None
-    started_at: float = 0.0
     last_beat_monotonic: float = 0.0
     last_beat_received: float = 0.0
     lag_s: float = 0.0
@@ -298,6 +297,8 @@ class CampaignService:
         self._cells: Dict[str, _CellState] = {}
         self._pending: Deque[str] = deque()
         self._workers: Dict[str, _Worker] = {}
+        #: The scheduler's own worker processes, by name.
+        self._local: Dict[str, multiprocessing.Process] = {}
         self._handles: List[SubmissionHandle] = []
         self._worker_seq = itertools.count()
         self._submission_seq = itertools.count()
@@ -309,18 +310,16 @@ class CampaignService:
         self._inbox: Optional[asyncio.Queue] = None
         self._loop_task: Optional[asyncio.Task] = None
         self._reader_stop = threading.Event()
-        self._reader: Optional[threading.Thread] = None
-        self._conn_lock = threading.Lock()
-        # -- distributed mode ------------------------------------------
-        self._listener = None  #: Listening socket (listen mode only).
+        # -- worker connections ----------------------------------------
+        self._listener = None  #: Listening socket, bound by start().
         #: Actual ``host:port`` bound (resolves a ``:0`` ephemeral port).
         self.listen_address: Optional[str] = None
         self._accept_thread: Optional[threading.Thread] = None
-        self._net_threads: List[threading.Thread] = []
+        self._reader_threads: List[threading.Thread] = []
         self._conn_seq = itertools.count()
-        self._net_seq = itertools.count()
+        self._session_seq = itertools.count()
         self._conn_workers: Dict[int, str] = {}  # conn token -> worker_id
-        self._fallback_deadline: Optional[float] = None
+        self._fallback_deadline = 0.0
         self._fallback_done = False
         self._committed_log: Dict[str, dict] = {}
         if self.journal is not None:
@@ -346,28 +345,24 @@ class CampaignService:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> "CampaignService":
-        """Spawn workers, start the reader thread and scheduler loop."""
+        """Listen, spawn workers, and start the scheduler loop."""
         if self._started:
             raise RuntimeError("service already started")
         self._started = True
         self._loop = asyncio.get_running_loop()
         self._inbox = asyncio.Queue()
-        if self.config.listen is not None:
-            self._listener = listen_socket(self.config.listen)
-            host, port = self._listener.getsockname()[:2]
-            self.listen_address = f"{host}:{port}"
+        self._listener = listen_socket(self.config.listen or "127.0.0.1:0")
+        host, port = self._listener.getsockname()[:2]
+        self.listen_address = f"{host}:{port}"
+        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
+        self._accept_thread.start()
+        if self.config.listen is None:
+            for _ in range(self.config.workers):
+                self._spawn_worker()
+        else:
             self._fallback_deadline = (
                 self._clock() + self.config.local_fallback_deadline_s
             )
-            self._accept_thread = threading.Thread(
-                target=self._accept_loop, daemon=True
-            )
-            self._accept_thread.start()
-        else:
-            for _ in range(self.config.workers):
-                self._spawn_worker()
-        self._reader = threading.Thread(target=self._read_results, daemon=True)
-        self._reader.start()
         if self.config.status_listen is not None:
             self._endpoint = LiveEndpoint(
                 self.config.status_listen,
@@ -380,8 +375,8 @@ class CampaignService:
         self._loop_task = asyncio.create_task(self._run())
         topology = (
             f"listening on {self.listen_address}"
-            if self.listen_address
-            else f"{self.config.workers} workers"
+            if self.config.listen
+            else f"{self.config.workers} workers on {self.listen_address}"
         )
         log.info(
             "service.started",
@@ -437,49 +432,48 @@ class CampaignService:
                 pass  # already surfaced through the handles' errors
             self._loop_task = None
         self._reader_stop.set()
-        if self._reader is not None:
-            self._reader.join(timeout=2.0)
-            self._reader = None
         if self._listener is not None:
+            # On Linux, close() alone does not wake a thread blocked in
+            # accept(); shutdown() does.
             try:
-                self._listener.close()  # unblocks the accept thread
+                self._listener.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
+            self._listener.close()
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=2.0)
             self._accept_thread = None
-        for worker in self._workers.values():
-            if worker.state == "dead":
-                continue
-            if graceful:
-                try:
-                    if worker.kind == "net":
-                        worker.conn.send(ShutdownMsg())
-                    else:
-                        worker.task_conn.send(ShutdownMsg())
-                except (OSError, ValueError):
-                    pass
+        live = [w for w in self._workers.values() if w.state != "dead"]
         if graceful:
-            # Let socket workers *read* the shutdown before we close their
+            for worker in live:
+                try:
+                    worker.conn.send(ShutdownMsg())
+                except OSError:
+                    pass
+            # Let workers *read* the shutdown before we close their
             # connections: closing with inbound bytes queued (heartbeats)
             # RSTs the socket, which can destroy the queued ShutdownMsg.
             # Each worker answers with a goodbye and closes its side; its
             # reader thread exits on that EOF, so joining the readers is
             # exactly "every worker has acknowledged or gone silent".
-            for thread in self._net_threads:
+            for thread in self._reader_threads:
                 thread.join(timeout=2.0)
-        for worker in self._workers.values():
-            if worker.state == "dead":
-                continue
-            if worker.process is not None:
-                worker.process.join(timeout=2.0 if graceful else 0.2)
-                if worker.process.is_alive():
-                    worker.process.terminate()
-                    worker.process.join(timeout=2.0)
+        # Our own processes exit by themselves once told to shut down; one
+        # without a live session (reconnecting, or not yet registered)
+        # would only keep dialing the closed listener.
+        told = {w.name for w in live} if graceful else set()
+        for name, process in self._local.items():
+            if name in told:
+                process.join(timeout=2.0)
+            if process.is_alive():
+                process.terminate()
+                process.join(timeout=2.0)
+        self._local = {}
+        for worker in live:
             self._close_worker(worker)
-        for thread in self._net_threads:
+        for thread in self._reader_threads:
             thread.join(timeout=1.0)
-        self._net_threads = []
+        self._reader_threads = []
         if self._endpoint is not None:
             self._endpoint.close()
             self._endpoint = None
@@ -511,8 +505,8 @@ class CampaignService:
         with TRACER.span("service.submit", cells=campaign.size(), tenant=tenant):
             # Every cell this submission creates ships the submit span's
             # context; worker-side campaign.cell spans then parent under
-            # it, whether the cell runs over a Pipe or a socket.  A cell
-            # deduped across tenants keeps its *first* submitter's trace.
+            # it.  A cell deduped across tenants keeps its *first*
+            # submitter's trace.
             trace_ctx = TRACER.current_context() or ""
             plan = []  # (digest, key, coords) in deterministic cell order
             new_digests = set()
@@ -623,27 +617,21 @@ class CampaignService:
             raise
 
     def _handle_item(self, item) -> None:
-        kind, source, message = item
+        kind, token, message = item
         if kind == "hello":
             conn, hello = message
-            self._register_net_worker(source, conn, hello)
+            self._register_worker(token, conn, hello)
             return
-        if kind in ("net-msg", "net-frame-error", "net-closed"):
-            worker_id = self._conn_workers.get(source)
-            if kind == "net-closed":
-                self._conn_workers.pop(source, None)
-                if worker_id is not None:
-                    self._worker_lost(worker_id, "connection-lost")
-                return
-            if worker_id is None:
-                return  # connection died before registration completed
-            if kind == "net-frame-error":
-                self._on_frame_error(worker_id, message)
-                return
-        else:
-            worker_id = source
-        if kind == "closed":
-            self._worker_lost(worker_id, "channel-closed")
+        worker_id = self._conn_workers.get(token)
+        if kind == "disconnected":
+            self._conn_workers.pop(token, None)
+            if worker_id is not None:
+                self._worker_lost(worker_id, "connection-lost")
+            return
+        if worker_id is None:
+            return  # connection died before registration completed
+        if kind == "frame-error":
+            self._on_frame_error(worker_id, message)
             return
         if isinstance(message, HeartbeatMsg):
             self._on_heartbeat(worker_id, message)
@@ -677,16 +665,16 @@ class CampaignService:
     # -- heartbeats ----------------------------------------------------
     def _on_heartbeat(self, worker_id: str, beat: HeartbeatMsg) -> None:
         worker = self._workers.get(worker_id)
-        if worker is not None and worker.kind == "net":
+        if worker is not None:
             self._track_heartbeat(worker, beat)
         if beat.lease_id:
             if self._leases.renew(beat.lease_id):
                 METRICS.inc("service.heartbeats")
             return
-        # Idle ping (socket workers only): the worker is alive and holds
-        # no lease.  If we still attribute a lease to it that is no
-        # longer active -- e.g. its completion frame was lost and the
-        # lease has since expired -- the worker may rejoin the idle pool.
+        # Idle ping: the worker is alive and holds no lease.  If we still
+        # attribute a lease to it that is no longer active -- e.g. its
+        # completion frame was lost and the lease has since expired --
+        # the worker may rejoin the idle pool.
         if worker is None or worker.state == "dead":
             return
         METRICS.inc("service.heartbeats")
@@ -748,7 +736,7 @@ class CampaignService:
             worker=worker_id,
             kind=kind,
         )
-        if worker is not None and worker.kind == "net" and worker.state != "dead":
+        if worker is not None and worker.state != "dead":
             try:
                 worker.conn.send(NackMsg(reason=kind, lease_id=lease_id))
             except OSError:
@@ -856,7 +844,7 @@ class CampaignService:
             )
             self._commit(
                 cell,
-                self._error_record(cell, error),
+                cell_error_record(cell.task, error, cell.attempts),
                 worker_id=None,
                 attempt=cell.attempts,
                 epoch=cell.epoch,
@@ -872,39 +860,39 @@ class CampaignService:
         )
         self._pending.append(cell.digest)
 
-    def _error_record(self, cell: _CellState, error: BaseException) -> dict:
-        task = cell.task
-        record = {
-            "workload": task.workload,
-            "mapping": task.spec.label,
-            "scheme": task.scheme,
-            "t_rh": task.t_rh,
-            "status": "error",
-            "attempts": cell.attempts,
-        }
-        record.update(error_record(error))
-        return record
-
     def _reap_workers(self) -> None:
-        for worker in list(self._workers.values()):
-            if (
-                worker.state != "dead"
-                and worker.process is not None
-                and not worker.process.is_alive()
-            ):
-                self._worker_lost(worker.worker_id, "worker-dead")
+        """Respawn the scheduler's own worker processes that died.
+
+        A process's lost connection has already requeued its leases (see
+        :meth:`_worker_lost`); this replaces the process itself, under
+        the restart budget.  A live process whose connection dropped
+        reconnects by itself and is left alone.
+        """
+        for name, process in list(self._local.items()):
+            if process.is_alive():
+                continue
+            del self._local[name]
+            if self._stop_loop or self._restarts >= self.config.max_worker_restarts:
+                continue
+            self._restarts += 1
+            METRICS.inc("service.worker_restarts")
+            log.warning(
+                "service.worker_respawn",
+                message=f"[worker process {name} exited"
+                f" (code {process.exitcode}); respawning]",
+                worker=name,
+                exitcode=process.exitcode,
+            )
+            self._spawn_worker(replaces=name)
 
     def _worker_lost(self, worker_id: str, reason: str) -> None:
         worker = self._workers.get(worker_id)
         if worker is None or worker.state == "dead":
             return
-        recovery = (
-            "it may reconnect" if worker.kind == "net" else "respawning"
-        )
         log.warning(
             "service.worker_lost",
-            message=f"[worker {worker_id} lost ({reason});"
-            f" expiring its lease; {recovery}]",
+            message=f"[worker {worker_id} ({worker.name}) lost ({reason});"
+            " expiring its leases]",
             worker=worker_id,
             reason=reason,
         )
@@ -917,15 +905,6 @@ class CampaignService:
             cell = self._cells.get(lease.digest)
             if cell is not None and cell.status == "leased":
                 self._requeue(cell, reason)
-        if worker.kind == "net":
-            # Socket workers own their own lifecycle: a lost connection
-            # is re-established by the *worker* (with backoff), arriving
-            # back here as a fresh registration.  Nothing to respawn.
-            return
-        if not self._stop_loop and self._restarts < self.config.max_worker_restarts:
-            self._restarts += 1
-            METRICS.inc("service.worker_restarts")
-            self._spawn_worker(replaces=worker_id)
 
     def _maybe_fallback(self) -> None:
         """Degraded mode: no workers showed up, so make our own.
@@ -933,15 +912,11 @@ class CampaignService:
         Listen mode only.  When the fallback deadline passes with
         outstanding work and not a single live worker (none ever
         connected, or every one disconnected for good), the scheduler
-        spawns its usual local Pipe pool so the campaign still
+        spawns ``workers`` processes of its own so the campaign still
         completes.  One-shot; while any worker is alive the deadline
         keeps sliding forward.
         """
-        if (
-            self._listener is None
-            or self._fallback_done
-            or self._fallback_deadline is None
-        ):
+        if self.config.listen is None or self._fallback_done:
             return
         now = self._clock()
         if any(w.state != "dead" for w in self._workers.values()):
@@ -958,8 +933,8 @@ class CampaignService:
         log.warning(
             "service.degraded",
             message=f"[no workers connected within"
-            f" {self.config.local_fallback_deadline_s}s; degrading to"
-            f" {self.config.workers} local workers]",
+            f" {self.config.local_fallback_deadline_s}s; spawning"
+            f" {self.config.workers} workers of our own]",
             workers=self.config.workers,
         )
         for _ in range(self.config.workers):
@@ -967,12 +942,12 @@ class CampaignService:
 
     def _check_starvation(self) -> None:
         """Fail outstanding cells when no worker can ever run them."""
-        if any(w.state != "dead" for w in self._workers.values()):
+        if self._local or any(w.state != "dead" for w in self._workers.values()):
             return
         if self._restarts < self.config.max_worker_restarts:
             return
-        if self._listener is not None and not self._fallback_done:
-            return  # a socket worker (or the fallback pool) may yet come
+        if self.config.listen is not None and not self._fallback_done:
+            return  # a remote worker (or the fallback pool) may yet come
         for cell in self._cells.values():
             if cell.status == "committed":
                 continue
@@ -983,7 +958,7 @@ class CampaignService:
             )
             self._commit(
                 cell,
-                self._error_record(cell, error),
+                cell_error_record(cell.task, error, cell.attempts),
                 worker_id=None,
                 attempt=cell.attempts,
                 epoch=cell.epoch,
@@ -1037,88 +1012,61 @@ class CampaignService:
             heartbeat_interval_s=self.config.heartbeat_interval_s,
         )
         try:
-            if worker.kind == "net":
-                worker.conn.send(assignment)
-            else:
-                worker.task_conn.send(assignment)
-        except (OSError, ValueError):
+            worker.conn.send(assignment)
+        except OSError:
             self._leases.expire(lease.lease_id)
-            self._requeue(cell, "channel-closed")
-            self._worker_lost(worker.worker_id, "channel-closed")
+            self._requeue(cell, "connection-lost")
+            self._worker_lost(worker.worker_id, "connection-lost")
             return
         METRICS.inc("service.dispatches")
 
     # ------------------------------------------------------------------
     # Worker process management
     # ------------------------------------------------------------------
-    def _spawn_worker(self, replaces: Optional[str] = None) -> _Worker:
-        worker_id = f"w{next(self._worker_seq)}"
-        task_r, task_w = self._mp.Pipe(duplex=False)
-        result_r, result_w = self._mp.Pipe(duplex=False)
+    def _spawn_worker(self, replaces: Optional[str] = None) -> None:
+        """Start one worker process of our own, dialing our listener."""
+        name = f"w{next(self._worker_seq)}"
+        # ``service_worker_main`` is looked up in this module's globals at
+        # call time, so a wrapper installed over it (tracing) is honoured.
         process = self._mp.Process(
             target=service_worker_main,
             args=(
-                worker_id,
-                task_r,
-                result_w,
+                self.listen_address,
+                name,
                 self._stats_cache_dir,
                 export_config(),
                 self.chaos,
-                self.config.heartbeat_interval_s,
+                self.config.frame_timeout_s,
             ),
             daemon=True,
-            name=f"repro-service-{worker_id}",
+            name=f"repro-service-{name}",
         )
         process.start()
-        # Close the child's pipe ends in the parent *immediately*: later
-        # forks must not inherit them, or a dead worker's channel would
-        # never report EOF (and broken-pipe detection on dispatch would
-        # not fire).
-        task_r.close()
-        result_w.close()
-        worker = _Worker(
-            worker_id=worker_id,
-            process=process,
-            task_conn=task_w,
-            result_conn=result_r,
-            started_at=self._clock(),
-        )
-        with self._conn_lock:
-            self._workers[worker_id] = worker
+        self._local[name] = process
         if self.manifest is not None:
             self.manifest.workers.append(
                 {
-                    "worker_id": worker_id,
+                    "worker_id": name,
                     "pid": process.pid,
                     "replaces": replaces,
                     "stats_cache_dir": self._stats_cache_dir,
                 }
             )
-        return worker
 
     def _close_worker(self, worker: _Worker) -> None:
-        if worker.kind == "net":
-            if worker.conn is not None:
-                worker.conn.close()
-            if METRICS.enabled:
-                METRICS.set_gauge(
-                    "service.transport.heartbeat_lag_s",
-                    0.0,
-                    worker=worker.name or worker.worker_id,
-                )
-            return
-        with self._conn_lock:
-            for conn in (worker.task_conn, worker.result_conn):
-                try:
-                    conn.close()
-                except OSError:
-                    pass
+        worker.conn.close()
+        if METRICS.enabled:
+            METRICS.set_gauge(
+                "service.transport.heartbeat_lag_s",
+                0.0,
+                worker=worker.name or worker.worker_id,
+            )
 
     # ------------------------------------------------------------------
-    # Socket workers: accept loop, per-connection readers, registration
+    # Worker connections: accept loop, per-connection readers, registration
     # ------------------------------------------------------------------
     def _accept_loop(self) -> None:
-        """Accept socket workers; one reader thread per connection."""
+        """Accept worker connections; one reader thread per connection."""
         while not self._reader_stop.is_set():
             try:
                 raw, _addr = self._listener.accept()
@@ -1127,12 +1075,12 @@ class CampaignService:
             conn = FramedSocket(raw, frame_timeout_s=self.config.frame_timeout_s)
             token = next(self._conn_seq)
             thread = threading.Thread(
-                target=self._read_net, args=(token, conn), daemon=True
+                target=self._read_conn, args=(token, conn), daemon=True
             )
-            self._net_threads.append(thread)
+            self._reader_threads.append(thread)
             thread.start()
 
-    def _read_net(self, token: int, conn: FramedSocket) -> None:
+    def _read_conn(self, token: int, conn: FramedSocket) -> None:
         """Reader thread of one worker connection -> the asyncio inbox.
 
         Enforces the typed failure envelope at the edge: a
@@ -1148,7 +1096,7 @@ class CampaignService:
                 except FrameError as error:
                     self._post(
                         (
-                            "net-frame-error",
+                            "frame-error",
                             token,
                             str(error.context.get("kind", "unknown")),
                         )
@@ -1171,31 +1119,25 @@ class CampaignService:
                     registered = True
                     self._post(("hello", token, (conn, message)))
                     continue
-                self._post(("net-msg", token, message))
+                self._post(("message", token, message))
         finally:
-            self._post(("net-closed", token, None))
+            self._post(("disconnected", token, None))
             conn.close()
 
-    def _register_net_worker(
+    def _register_worker(
         self, token: int, conn: FramedSocket, hello: HelloMsg
     ) -> None:
-        """Admit one socket worker (scheduler-loop side of the handshake).
+        """Admit one worker connection (scheduler-loop side of the handshake).
 
         Every *connection* gets a fresh ``worker_id`` -- a reconnecting
         worker is a new lease-table identity, so stale leases of its
         previous life expire normally and can never be confused with
         new grants.
         """
-        worker_id = f"n{next(self._net_seq)}"
-        worker = _Worker(
-            worker_id=worker_id,
-            kind="net",
-            conn=conn,
-            name=hello.name,
-            started_at=self._clock(),
+        worker_id = f"n{next(self._session_seq)}"
+        self._workers[worker_id] = _Worker(
+            worker_id=worker_id, conn=conn, name=hello.name
         )
-        with self._conn_lock:
-            self._workers[worker_id] = worker
         self._conn_workers[token] = worker_id
         try:
             conn.send(
@@ -1218,53 +1160,19 @@ class CampaignService:
             name=hello.name,
             reconnects=hello.reconnects,
         )
-        if self.manifest is not None:
+        # Our own processes are in the manifest from the moment they spawn.
+        own = self._local.get(hello.name)
+        if self.manifest is not None and (own is None or own.pid != hello.pid):
             self.manifest.workers.append(
                 {
                     "worker_id": worker_id,
-                    "kind": "net",
                     "name": hello.name,
                     "pid": hello.pid,
                     "peer": conn.peername(),
                     "reconnects": hello.reconnects,
+                    "replaces": None,
                 }
             )
-
-    # ------------------------------------------------------------------
-    # Reader thread: worker result pipes -> asyncio inbox
-    # ------------------------------------------------------------------
-    def _read_results(self) -> None:
-        while not self._reader_stop.is_set():
-            with self._conn_lock:
-                conns = {
-                    w.result_conn: w.worker_id
-                    for w in self._workers.values()
-                    if w.kind == "local"
-                    and w.state != "dead"
-                    and not w.result_conn.closed
-                }
-            if not conns:
-                time.sleep(0.02)
-                continue
-            try:
-                ready = mp_connection.wait(list(conns), timeout=0.1)
-            except OSError:
-                continue  # a conn closed under us; rebuild the list
-            for conn in ready:
-                worker_id = conns[conn]
-                try:
-                    message = conn.recv()
-                except Exception:
-                    # EOF (worker died), OSError, or an unpickling error
-                    # from a torn write: either way that channel is done.
-                    self._post(("closed", worker_id, None))
-                    with self._conn_lock:
-                        try:
-                            conn.close()
-                        except OSError:
-                            pass
-                    continue
-                self._post(("msg", worker_id, message))
 
     def _post(self, item) -> None:
         loop, inbox = self._loop, self._inbox
@@ -1288,11 +1196,6 @@ class CampaignService:
             "leased": states.count("leased"),
             "workers_alive": sum(
                 1 for w in self._workers.values() if w.state != "dead"
-            ),
-            "net_workers_alive": sum(
-                1
-                for w in self._workers.values()
-                if w.kind == "net" and w.state != "dead"
             ),
             "slow_workers": sum(1 for w in self._workers.values() if w.slow),
             "fallback_engaged": self._fallback_done,
@@ -1327,7 +1230,6 @@ class CampaignService:
                 {
                     "worker": worker.worker_id,
                     "name": worker.name,
-                    "kind": worker.kind,
                     "state": worker.state,
                     "current_lease": worker.current_lease,
                     "heartbeat_lag_s": round(worker.lag_s, 4),

@@ -248,9 +248,8 @@ class FramedSocket:
     """One TCP connection speaking framed protocol messages.
 
     Sends are serialized under a lock (heartbeat pumps and the main
-    thread share the connection -- same discipline the Pipe workers
-    follow); receives are single-reader by construction (each side
-    dedicates one thread to reading).
+    thread share the connection); receives are single-reader by
+    construction (each side dedicates one thread to reading).
 
     Args:
         sock: A connected TCP socket (ownership transfers here).

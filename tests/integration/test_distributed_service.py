@@ -7,8 +7,9 @@ layer drops, corrupts, truncates, delays, and duplicates completion
 frames and severs connections -- still produces records byte-identical
 to a serial ``Campaign.run``, with every cell committed to the journal
 exactly once and lost work recovered through epoch-bumped re-dispatch.
-And when no worker ever connects, the scheduler degrades to a local
-Pipe pool rather than hanging.
+Process faults apply to socket workers too: a kill schedule really
+kills them.  And when no worker ever connects, the scheduler spawns
+workers of its own rather than hanging.
 """
 
 import asyncio
@@ -16,10 +17,12 @@ import asyncio
 from repro.experiments.campaign import Campaign, MappingSpec
 from repro.resilience.journal import CheckpointJournal
 from repro.service import (
+    KILLED_EXIT_CODE,
     CampaignService,
     ChaosSpec,
     ServiceConfig,
     cell_digest,
+    planned_faults,
     planned_wire_faults,
     spawn_net_workers,
 )
@@ -41,8 +44,12 @@ WIRE_CHAOS = ChaosSpec(
     wire_conn_drop_frac=0.10,
     wire_delay_frac=0.1,
     wire_delay_s=0.05,
-    wire_duplicate_frac=0.1,
+    duplicate_frac=0.1,
 )
+
+#: Verified to plan one kill of each flavor on the 8-cell grid of
+#: TestSocketWorkersApplyProcessFaults, so two of three workers die.
+KILL_CHAOS = ChaosSpec(seed=6, kill_before_frac=0.1, kill_after_frac=0.1)
 
 #: Short leases so a dropped completion frame expires inside test time;
 #: a long fallback deadline so degraded mode never triggers while the
@@ -161,6 +168,23 @@ class TestDistributedUnderWireChaos:
         assert redispatched, "wire chaos must force at least one re-dispatch"
         for entry in entries:
             assert entry["attempt"] >= 1 and "lease_id" in entry
+
+
+class TestSocketWorkersApplyProcessFaults:
+    def test_kill_schedule_kills_socket_workers(self):
+        grid = dict(workloads=["xz", "namd"], schemes=["aqua"])  # 8 cells
+        campaign = make_campaign(**grid)
+        keys = [campaign.cell_key(*cell) for cell in campaign.cells()]
+        actions = [decision.action for _, decision in planned_faults(KILL_CHAOS, keys)]
+        kills = sum(action in ("kill-before", "kill-after") for action in actions)
+        assert "kill-before" in actions and "kill-after" in actions
+        assert kills < 3, "one of the three workers must survive"
+        records, stats, exitcodes = run_distributed(
+            campaign, config=ServiceConfig(**NET_CONFIG), n_workers=3, chaos=KILL_CHAOS
+        )
+        assert records == make_campaign(**grid).run()
+        assert stats["committed"] == 8 and not stats["fallback_engaged"]
+        assert sorted(exitcodes) == [0] * (3 - kills) + [KILLED_EXIT_CODE] * kills
 
 
 class TestDegradedMode:

@@ -24,6 +24,7 @@ from repro.service import (
     ServiceConfig,
     cell_digest,
     planned_faults,
+    planned_wire_faults,
     run_service,
     truncate_journal_tail,
 )
@@ -47,6 +48,20 @@ CHAOS = ChaosSpec(
     reorder_every=4,
 )
 
+#: Process and wire faults in one schedule.  Chosen so the 24-cell grid
+#: plans kills of both flavors and a hang, plus a corrupt frame and a
+#: severed connection on cells whose worker survives to send them
+#: (asserted in test_mixed_schedule_is_adversarial_enough).
+MIXED_CHAOS = ChaosSpec(
+    seed=10,
+    kill_before_frac=0.1,
+    kill_after_frac=0.1,
+    hang_frac=0.08,
+    hang_s=1.5,
+    wire_corrupt_frac=0.15,
+    wire_conn_drop_frac=0.1,
+)
+
 #: Short leases so hang-induced expiries happen inside test time.
 CHAOS_CONFIG = ServiceConfig(
     workers=3,
@@ -66,6 +81,10 @@ def make_campaign(**overrides) -> Campaign:
     )
     kwargs.update(overrides)
     return Campaign(**kwargs)
+
+
+def grid_keys(campaign: Campaign) -> list:
+    return [campaign.cell_key(*cell) for cell in campaign.cells()]
 
 
 def grid_digests(campaign: Campaign) -> set:
@@ -134,6 +153,66 @@ class TestServiceUnderChaos:
         entries = CheckpointJournal(journal_path).load()
         assert len(entries) == len(union)  # shared cells committed once
         assert {entry["key"] for entry in entries} == union
+
+
+class TestOwnWorkersApplyEveryFault:
+    """The service's own workers honour both halves of a ChaosSpec."""
+
+    def test_mixed_schedule_is_adversarial_enough(self):
+        keys = grid_keys(make_campaign())
+        faults = dict(planned_faults(MIXED_CHAOS, keys))
+        actions = {decision.action for decision in faults.values()}
+        assert {"kill-before", "kill-after", "hang"} <= actions
+        killed = {k for k, d in faults.items() if d.action.startswith("kill")}
+        sent = [
+            decision
+            for key, decision in planned_wire_faults(MIXED_CHAOS, keys)
+            if key not in killed
+        ]
+        assert any(decision.fate == "corrupt" for decision in sent)
+        assert any(decision.drops_connection for decision in sent)
+
+    def test_default_service_applies_process_and_wire_faults(self, tmp_path):
+        journal_path = tmp_path / "mixed.jsonl"
+        serial = make_campaign().run()
+        campaign = make_campaign()
+        kills = sum(
+            decision.action in ("kill-before", "kill-after")
+            for _, decision in planned_faults(MIXED_CHAOS, grid_keys(campaign))
+        )
+
+        async def main():
+            async with CampaignService(
+                CHAOS_CONFIG, journal=journal_path, chaos=MIXED_CHAOS
+            ) as service:
+                handle = await service.submit(campaign)
+                records = await handle.result()
+                # A kill-after on the last cell can resolve the handle
+                # just before its worker's death is noticed.
+                for _ in range(200):
+                    if service.stats()["worker_restarts"] >= kills:
+                        break
+                    await asyncio.sleep(0.05)
+                return records, service.stats()
+
+        obs.reset()
+        obs.configure(enabled=True)
+        try:
+            records, stats = asyncio.run(main())
+            checksum_errors = obs.METRICS.counter_value(
+                "service.transport.frame_errors", kind="checksum"
+            )
+        finally:
+            obs.reset()
+        assert records == serial
+        entries = CheckpointJournal(journal_path).load()
+        assert len(entries) == 24
+        assert {entry["key"] for entry in entries} == grid_digests(campaign)
+        # Every kill respawns one process; severed connections reconnect
+        # and respawn nothing.
+        assert stats["worker_restarts"] == kills
+        # The corrupt completion frame really crossed the wire.
+        assert checksum_errors >= 1
 
 
 class TestDrainRestartResume:

@@ -85,7 +85,7 @@ WIRE_SPEC = ChaosSpec(
     wire_conn_drop_frac=0.2,
     wire_delay_frac=0.2,
     wire_delay_s=0.25,
-    wire_duplicate_frac=0.2,
+    duplicate_frac=0.2,
 )
 
 
