@@ -1,10 +1,11 @@
-"""Benchmark the campaign engine: serial sweep vs process-pool dispatch.
+"""Benchmark the campaign engine: serial sweep vs service dispatch.
 
 The parallel round is NOT asserted faster -- CI may have a single core,
-where pool dispatch adds pure overhead.  What these benchmarks surface
-is (a) the per-cell cost of a warm-cache serial sweep and (b) the fixed
-cost of fanning the same grid out over workers, so regressions in
-either path show up in the benchmark history.
+where dispatching cells to the campaign service's workers adds pure
+overhead.  What these benchmarks surface is (a) the per-cell cost of a
+warm-cache serial sweep and (b) the fixed cost of fanning the same grid
+out over service workers (spawn, registration, leases, drain), so
+regressions in either path show up in the benchmark history.
 """
 
 from repro.experiments.campaign import Campaign, MappingSpec

@@ -5,14 +5,17 @@
 # fails CI instead of stalling it:
 #
 #   1. the repo's tier-1 test command (see ROADMAP.md);
-#   2. parallel campaign smoke: tiny grid, workers=2, crash +
-#      journal-resume check (scripts/parallel_smoke.py);
+#   2. parallel campaign smoke: tiny grid, Campaign.run(workers=2) on
+#      the campaign service's loopback workers, crash + journal-resume
+#      in both directions between serial and workers=2
+#      (scripts/parallel_smoke.py);
 #   3. hot-path kernel benchmark in --quick mode, which asserts every
 #      production kernel stays bit-identical to its in-tree reference
 #      oracle (an equivalence check only -- no timing gate), then an
 #      *advisory* bench-history regression gate
 #      (scripts/bench_regress.py, >15% per kernel);
-#   4. stage 2 again with telemetry enabled, validating the emitted
+#   4. stage 2 again with telemetry enabled (the workers=2 runs emit
+#      service.* metrics and worker events), validating the emitted
 #      manifest + metric snapshots against the schema catalog
 #      (scripts/validate_telemetry.py), so instrumentation and catalog
 #      cannot drift apart;
@@ -70,8 +73,9 @@ run_bounded "$BENCH_BUDGET" python scripts/bench_hotpath.py --quick --out -
 run_bounded 60 python scripts/bench_regress.py \
     || echo "WARN: bench_regress reported a >15% kernel regression (advisory)"
 
-# Stage 4: telemetry round-trip -- run the same smoke with telemetry
-# enabled, then validate every emitted artifact against the schema.
+# Stage 4: telemetry round-trip -- run the same smoke (serial and
+# service-backed workers=2 runs) with telemetry enabled, then validate
+# every emitted artifact against the schema.
 TELEMETRY_DIR="$(mktemp -d -t rubix-telemetry-XXXXXX)"
 trap 'rm -rf "$TELEMETRY_DIR"' EXIT
 run_bounded "$SMOKE_BUDGET" env REPRO_TELEMETRY_DIR="$TELEMETRY_DIR" \

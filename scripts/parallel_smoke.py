@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
-"""CI smoke test for the parallel campaign engine.
+"""CI smoke test for ``Campaign.run(workers=N)`` on the campaign service.
 
 Exercises the parallel/resilience contract end to end on a tiny grid:
 
 1. a serial run establishes the expected records;
 2. a serial run with an injected crash after 3 cells leaves a partial
    checkpoint journal;
-3. a parallel resume (``workers=2``) from that journal completes the
-   grid and must reproduce the expected records exactly;
-4. a fresh all-parallel run must also reproduce them.
+3. a parallel resume (``workers=2``, dispatched to the campaign
+   service's loopback workers) from that journal completes the grid and
+   must reproduce the expected records exactly;
+4. a fresh all-parallel run, journaled, must also reproduce them;
+5. a serial resume of that ``workers=2`` journal must replay every cell
+   and execute none -- both modes key the journal by content digest.
 
 Exit status 0 on success, 1 on any mismatch.  No timing assertions:
 this validates correctness, not speedup (CI may have one core).
@@ -88,12 +91,26 @@ def main() -> int:
         print(f"parallel resume: {resumed.cells_executed} remaining cells, records match")
 
         # And a fresh parallel run from scratch, with a shared disk cache.
+        parallel_journal = Path(tmp) / "parallel.jsonl"
         fresh = make_campaign().run(
-            workers=2, stats_cache_dir=Path(tmp) / "stats-cache"
+            workers=2,
+            stats_cache_dir=Path(tmp) / "stats-cache",
+            journal=parallel_journal,
         )
         if fresh != expected:
             return fail("fresh parallel records differ from serial run")
         print("fresh parallel run: records match")
+
+        # Its journal resumes serially without running anything.
+        replayed = make_campaign()
+        if replayed.run(resume_from=parallel_journal) != expected:
+            return fail("serial resume of the parallel journal differs")
+        if replayed.cells_executed != 0:
+            return fail(
+                f"serial resume of a complete parallel journal ran"
+                f" {replayed.cells_executed} cells, expected 0"
+            )
+        print("serial resume of the parallel journal: 0 cells run")
 
     if manifest is not None:
         obs_runtime.write_telemetry(manifest=manifest)

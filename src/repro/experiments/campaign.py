@@ -11,13 +11,18 @@ Campaigns are *resilient*: every cell runs inside a
 one malformed configuration or crashing cell yields a tidy error record
 instead of aborting the sweep, and an optional JSONL checkpoint journal
 makes an interrupted campaign resumable exactly where it stopped
-(``Campaign.run(resume_from=...)``).
+(``Campaign.run(resume_from=...)``).  Journal entries are keyed by
+:func:`cell_digest`, a content digest over everything a record depends
+on -- the cell key *and* the DRAM config and degrade policy -- so a
+resume under a different configuration re-runs cells instead of
+replaying stale records.
 
-Campaigns are also *parallel*: ``Campaign.run(workers=N)`` dispatches
-cells to a process pool (see :mod:`repro.parallel.executor`) whose
-workers run the identical per-cell code path -- same fault boundary,
-same records -- so serial and parallel sweeps of one grid produce
-byte-identical results, and the same journal works for either mode.
+Campaigns are also *parallel*: ``Campaign.run(workers=N)`` runs the grid
+on the campaign service (:func:`repro.service.scheduler.run_service`)
+with ``N`` local workers, which run the identical per-cell code path --
+same fault boundary, same records -- so serial and parallel sweeps of
+one grid produce byte-identical results, and the same journal works
+for either mode (and for ``repro-run serve``).
 
 Cells are independent by construction: mappings with *mutable* remap
 state (Rubix-D with a nonzero remap rate) are built fresh, from their
@@ -27,6 +32,7 @@ ran before it -- the property that makes parallel == serial exact.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import time
 from dataclasses import dataclass, field
@@ -49,6 +55,27 @@ from repro.perf.simulator import SCHEMES, RunResult
 from repro.resilience.executor import CellOutcome, ResilientExecutor
 from repro.resilience.faults import check_result_invariants
 from repro.resilience.journal import CheckpointJournal
+
+
+def cell_digest(payload: dict, key: str) -> str:
+    """Content digest identifying one cell's result: the journal key.
+
+    Serial runs, ``workers=N`` runs and the campaign service all journal
+    and resume under it, and the service dedupes overlapping tenant
+    grids by it.
+
+    Args:
+        payload: The owning campaign's :meth:`Campaign.parallel_payload`
+            (contributes the DRAM config and degrade policy -- the
+            grid-independent inputs a record depends on).
+        key: The campaign's canonical cell key (contributes workload,
+            mapping spec, scheme, threshold, and scale).
+    """
+    digest = hashlib.blake2b(digest_size=20)
+    for part in (key, payload.get("config"), payload.get("degrade_scale_factor")):
+        digest.update(repr(part).encode())
+        digest.update(b"|")
+    return digest.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -100,7 +127,8 @@ class Campaign:
     _mapping_cache: Dict[MappingSpec, AddressMapping] = field(
         default_factory=dict, repr=False, compare=False
     )
-    #: Cells actually simulated by this instance (resume skips count 0).
+    #: Cells run (not replayed from a journal) by this instance's
+    #: ``run`` calls; a retried or degraded cell still counts once.
     cells_executed: int = field(default=0, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -168,7 +196,11 @@ class Campaign:
         return product(self.workloads, self.mappings, self.schemes, self.thresholds)
 
     def cell_key(self, workload: str, spec: MappingSpec, scheme: str, t_rh: int) -> str:
-        """Canonical journal/retry key for one cell (stable across runs)."""
+        """Canonical retry/chaos key for one cell (stable across runs).
+
+        Journals key on :func:`cell_digest` instead, which also covers
+        the DRAM config and degrade policy.
+        """
         return (
             f"{workload}|{spec.kind}|gs{spec.gang_size}|rr{spec.remap_rate}"
             f"|seg{spec.segments}|{scheme}|trh{t_rh}|scale{self.scale}"
@@ -198,18 +230,20 @@ class Campaign:
             resume_from: Journal of a previous, interrupted run; its
                 completed cells are returned as-is without re-running,
                 and newly-completed cells are appended to it.  Mutually
-                exclusive with ``journal``.  Works identically in serial
-                and parallel mode (the parent journals completions).
+                exclusive with ``journal``.  Entries are keyed by
+                :func:`cell_digest`, so serial runs, ``workers=N`` runs
+                and the campaign service resume each other's journals.
             simulator: Override the shared simulator (used by the
                 fault-injection harness).
-            workers: Process-pool size; ``workers > 1`` dispatches cells
-                to a :class:`~repro.parallel.executor.ParallelExecutor`
-                whose workers run the same per-cell fault boundary and
+            workers: Number of worker processes; ``workers > 1`` runs
+                the grid on the campaign service
+                (:func:`~repro.service.scheduler.run_service`), whose
+                workers run the same per-cell fault boundary and
                 produce records identical to a serial run.
             stats_cache_dir: Directory for a disk-persistent window-
                 statistics cache shared across workers (and across
                 runs); None keeps caches in-memory and per-process.
-            mp_context: Multiprocessing start method for parallel mode
+            mp_context: Multiprocessing start method of the workers
                 ('fork', 'spawn', ...); None uses the platform default.
 
         Raises:
@@ -222,20 +256,35 @@ class Campaign:
             raise ValueError("pass either journal= (fresh) or resume_from=, not both")
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if workers > 1:
-            if executor is not None or simulator is not None:
-                raise ValueError(
-                    "executor=/simulator= overrides are per-process and cannot"
-                    " cross the pool boundary; run with workers=1 to use them"
-                )
-            from repro.parallel.executor import ParallelExecutor
-
-            engine = ParallelExecutor(
-                workers, stats_cache_dir=stats_cache_dir, mp_context=mp_context
+        if workers > 1 and (executor is not None or simulator is not None):
+            raise ValueError(
+                "executor=/simulator= overrides are per-process and cannot"
+                " cross the process boundary; run with workers=1 to use them"
             )
-            return engine.run(self, journal=journal, resume_from=resume_from)
-
         checkpoint, completed = self._checkpoint(journal, resume_from)
+        cells = list(self.cells())
+        digests: List[Optional[str]] = [None] * len(cells)
+        if checkpoint is not None:
+            payload = self.parallel_payload()
+            digests = [cell_digest(payload, self.cell_key(*cell)) for cell in cells]
+        if workers > 1:
+            pending = sum(1 for digest in digests if digest not in completed)
+            if not pending:
+                return [completed[digest] for digest in digests]
+            from repro.service.scheduler import ServiceConfig, run_service
+
+            config = ServiceConfig(
+                workers=min(workers, pending),
+                stats_cache_dir=str(stats_cache_dir) if stats_cache_dir else None,
+                mp_context=mp_context,
+                # A campaign is never refused for its own size.
+                max_pending_cells=max(ServiceConfig.max_pending_cells, self.size()),
+            )
+            with TRACER.span("campaign.run", cells=self.size(), workers=config.workers):
+                (served,) = run_service([self], config=config, journal=checkpoint)
+            self.cells_executed += pending
+            return served
+
         executor = executor or ResilientExecutor()
         sim = simulator or get_simulator(self.config)
         if stats_cache_dir is not None:
@@ -243,17 +292,17 @@ class Campaign:
 
         records: List[dict] = []
         with TRACER.span("campaign.run", cells=self.size(), workers=1):
-            for workload, spec, scheme, t_rh in self.cells():
-                key = self.cell_key(workload, spec, scheme, t_rh)
-                if key in completed:
-                    records.append(completed[key])
+            for (workload, spec, scheme, t_rh), digest in zip(cells, digests):
+                if digest in completed:
+                    records.append(completed[digest])
                     continue
                 started = time.perf_counter()
                 record = self.execute_cell(sim, executor, workload, spec, scheme, t_rh)
+                self.cells_executed += 1
                 records.append(record)
                 if checkpoint is not None:
                     checkpoint.append(
-                        key,
+                        digest,
                         record,
                         duration_s=time.perf_counter() - started,
                         worker_id=f"p{os.getpid()}",
@@ -272,8 +321,8 @@ class Campaign:
         """Run one grid cell inside the fault boundary; returns its record.
 
         This is the single per-cell code path: the serial loop above and
-        the parallel pool workers both call it, which is what guarantees
-        record-for-record identical output between the two modes.
+        the campaign service's workers both call it, which is what
+        guarantees record-for-record identical output between the two.
         """
         key = self.cell_key(workload, spec, scheme, t_rh)
         with TRACER.span(
@@ -333,9 +382,7 @@ class Campaign:
         self, sim, workload: str, spec: MappingSpec, scheme: str, t_rh: int, scale: float
     ) -> RunResult:
         trace = get_trace(workload, scale=scale)
-        result = sim.run(trace, self._cell_mapping(spec), scheme=scheme, t_rh=t_rh)
-        self.cells_executed += 1
-        return result
+        return sim.run(trace, self._cell_mapping(spec), scheme=scheme, t_rh=t_rh)
 
     def _degrade_fn(self, sim, workload: str, spec: MappingSpec, scheme: str, t_rh: int):
         if self.degrade_scale_factor is None:
@@ -406,7 +453,7 @@ def campaign_from_spec(spec: dict) -> Campaign:
     Workload entries may also be self-contained ``playbook:<json>``
     attack-playbook names (see :mod:`repro.workloads.playbook` and
     :func:`repro.workloads.playbook.workload_name_for`), so declarative
-    attack sweeps ride the same spec format, journals, pool workers,
+    attack sweeps ride the same spec format, journals, workers,
     and service wire protocol as every other campaign.
     """
     if not isinstance(spec, dict):
@@ -449,4 +496,4 @@ def campaign_from_spec(spec: dict) -> Campaign:
     return Campaign(**kwargs)
 
 
-__all__ = ["MappingSpec", "Campaign", "campaign_from_spec"]
+__all__ = ["MappingSpec", "Campaign", "campaign_from_spec", "cell_digest"]

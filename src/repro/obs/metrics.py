@@ -11,7 +11,7 @@ Design constraints, in priority order:
    processes; each completion ships a *delta snapshot* back and the
    parent folds it in with :meth:`MetricsRegistry.merge`.  Counter and
    histogram totals therefore come out identical between a serial run
-   and a process-pool run of the same cells (gauges are last-write-wins
+   and a ``workers=N`` run of the same cells (gauges are last-write-wins
    by nature).
 3. **Bounded.**  Labelled series are capped per metric name
    (:data:`MAX_SERIES_PER_METRIC`); overflow folds into a single
@@ -264,7 +264,7 @@ def diff_snapshots(after: dict, before: dict) -> dict:
 
     Counters and histogram counts subtract (series absent from
     ``before`` pass through); gauges take their ``after`` values.  Used
-    by pool workers to ship per-cell metric contributions to the parent
+    by campaign workers to ship per-cell metric contributions to the parent
     without double-counting state inherited across ``fork``.
     """
     counters = {}

@@ -8,10 +8,10 @@ disabled by default.  Enable them explicitly::
 
 or implicitly through the environment -- ``REPRO_TELEMETRY_DIR=DIR``
 (enable + write artifacts to DIR) or ``REPRO_TELEMETRY=1`` (enable,
-in-memory only).  The environment path is how process-pool workers
+in-memory only).  The environment path is how worker processes
 inherit telemetry from a CLI run, exactly like ``REPRO_STATS_CACHE``;
-programmatic pool runs instead ship :func:`export_config` through the
-pool initializer (see :mod:`repro.parallel.executor`).
+the campaign service instead ships :func:`export_config` to the workers
+it spawns (see :mod:`repro.service.worker`).
 
 Artifact layout under the telemetry directory::
 

@@ -9,7 +9,7 @@ metric -- so instrumentation and catalog cannot silently drift apart.
 Two determinism families are distinguished (see docs/OBSERVABILITY.md):
 
 * **semantic** -- derived from per-cell simulation results; totals are
-  identical between a serial and a process-pool run of the same grid
+  identical between a serial and a ``workers=N`` run of the same grid
   (``campaign.*``, ``mitigation.*``, ``resilience.*``);
 * **operational** -- depend on process topology and cache locality
   (``cache.*``, ``sim.*``, ``span.*``, ``parallel.*``, ``trace.*``,
@@ -59,11 +59,7 @@ METRICS: Dict[str, dict] = {
     "sim.activations": {"kind": "counter", "labels": set()},
     "sim.window_seconds": {"kind": "histogram", "labels": set()},
     "trace.generated": {"kind": "counter", "labels": {"workload"}},
-    # -- process pool (operational) ------------------------------------
-    "parallel.workers": {"kind": "gauge", "labels": set()},
-    "parallel.queue_depth": {"kind": "gauge", "labels": set()},
-    "parallel.completions": {"kind": "counter", "labels": set()},
-    "parallel.cell_seconds": {"kind": "histogram", "labels": set()},
+    # -- campaign workers (operational) --------------------------------
     "parallel.worker_heartbeat": {"kind": "gauge", "labels": {"worker"}},
     # -- campaign service (operational; completions result=committed is
     #    semantic -- it must equal the grid's cell count) ---------------
@@ -100,7 +96,7 @@ METRICS: Dict[str, dict] = {
 }
 
 #: Metric names whose totals must be identical between serial and
-#: process-pool runs of the same grid (same seed).
+#: ``workers=N`` runs of the same grid (same seed).
 SEMANTIC_PREFIXES = ("campaign.", "mitigation.", "resilience.")
 
 #: Metrics a telemetry-enabled campaign run must have emitted -- CI's

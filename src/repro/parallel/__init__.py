@@ -1,10 +1,9 @@
-"""Parallel campaign execution: process pools + a shared stats cache.
+"""The content-keyed window-statistics cache shared by campaign workers.
 
-:mod:`repro.parallel.cache` provides the content-keyed window-statistics
-cache (imported eagerly -- the simulator depends on it); the process-pool
-:class:`ParallelExecutor` lives in :mod:`repro.parallel.executor` and is
-imported lazily here, because it depends on the experiments layer which
-in turn depends on the simulator.
+:mod:`repro.parallel.cache` keys analysis results by content digest so
+simulators in different processes (and runs) reuse rather than recompute
+them; parallel cell execution itself lives in the campaign service
+(:mod:`repro.service`), behind ``Campaign.run(workers=N)``.
 """
 
 from repro.parallel.cache import (
@@ -14,23 +13,9 @@ from repro.parallel.cache import (
     stats_cache_key,
 )
 
-_LAZY = ("ParallelExecutor", "CellTask", "CellCompletion")
-
-
-def __getattr__(name):
-    if name in _LAZY:
-        from repro.parallel import executor
-
-        return getattr(executor, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "STATS_CACHE_ENV",
     "StatsCache",
     "stats_cache_key",
     "default_persist_dir",
-    "ParallelExecutor",
-    "CellTask",
-    "CellCompletion",
 ]

@@ -24,6 +24,7 @@ use it to prove the service's results stay identical to a serial
 :meth:`Campaign.run` under failure.
 """
 
+from repro.experiments.campaign import cell_digest
 from repro.service.chaos import (
     KILLED_EXIT_CODE,
     ChaosDecision,
@@ -45,7 +46,6 @@ from repro.service.protocol import (
     NackMsg,
     RegisteredMsg,
     ShutdownMsg,
-    cell_digest,
     payload_digest,
 )
 from repro.service.scheduler import (

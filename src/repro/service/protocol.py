@@ -23,13 +23,12 @@ Distributed trace context crosses with them: every
 scheduler's ``service.submit`` span; the JSON framing round-trips the
 token untouched.
 
-Cells are identified by a *content digest* (:func:`cell_digest`): the
-same construction as the content-keyed stats cache
-(:func:`repro.parallel.cache.stats_cache_key`), applied one level up --
-a digest over everything that determines a cell's tidy record.  Two
-tenants submitting overlapping sweep grids therefore share cells by
-construction: the scheduler runs each digest once and fans the record
-out to every waiting submission.
+Cells are identified by a *content digest*
+(:func:`repro.experiments.campaign.cell_digest`): a digest over
+everything that determines a cell's tidy record.  Two tenants submitting
+overlapping sweep grids therefore share cells by construction: the
+scheduler runs each digest once and fans the record out to every
+waiting submission.
 """
 
 from __future__ import annotations
@@ -39,24 +38,26 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.errors import error_record
-from repro.parallel.executor import CellTask
+from repro.experiments.campaign import MappingSpec
 
 
-def cell_digest(payload: dict, key: str) -> str:
-    """Content digest identifying one cell's result across submissions.
+@dataclass(frozen=True)
+class CellTask:
+    """One grid cell, in shipping form (names and numbers only).
 
-    Args:
-        payload: The owning campaign's :meth:`Campaign.parallel_payload`
-            (contributes the DRAM config and degrade policy -- the
-            grid-independent inputs a record depends on).
-        key: The campaign's canonical cell key (contributes workload,
-            mapping spec, scheme, threshold, and scale).
+    ``trace`` is the submitting side's trace context as a compact
+    ``"trace_id:span_id"`` token (:meth:`Tracer.current_context`); a
+    worker attaches it before executing, so the cell's spans join the
+    submitter's trace no matter which process -- or host -- runs it.
+    Empty when telemetry is off or the submitter held no span.
     """
-    digest = hashlib.blake2b(digest_size=20)
-    for part in (key, payload.get("config"), payload.get("degrade_scale_factor")):
-        digest.update(repr(part).encode())
-        digest.update(b"|")
-    return digest.hexdigest()
+
+    key: str  #: Canonical cell key (retry jitter, chaos decisions).
+    workload: str
+    spec: MappingSpec
+    scheme: str
+    t_rh: int
+    trace: str = ""  #: Distributed trace context token ("" = none).
 
 
 def payload_digest(payload: dict) -> str:
@@ -206,6 +207,7 @@ class GoodbyeMsg:
 
 __all__ = [
     "CellAssignment",
+    "CellTask",
     "CompletionMsg",
     "GoodbyeMsg",
     "HeartbeatMsg",
@@ -213,7 +215,6 @@ __all__ = [
     "NackMsg",
     "RegisteredMsg",
     "ShutdownMsg",
-    "cell_digest",
     "cell_error_record",
     "payload_digest",
 ]

@@ -1,13 +1,16 @@
 """Fault-tolerant campaign service: leased scheduling over worker processes.
 
-:class:`CampaignService` promotes the campaign engine from "one process
-pool on one box" to a long-lived scheduler that serves many concurrent
-submissions:
+:class:`CampaignService` is the one engine that runs campaign cells in
+parallel -- ``Campaign.run(workers=N)`` is :func:`run_service` over a
+service of its own -- and a long-lived scheduler that serves many
+concurrent submissions:
 
 * **submissions** (:meth:`CampaignService.submit`) decompose a
-  :class:`Campaign` into content-keyed cell states; overlapping tenant
-  grids *dedupe* -- a cell digest runs once, its record fans out to
-  every waiting submission;
+  :class:`Campaign` into cell states keyed by
+  :func:`~repro.experiments.campaign.cell_digest`, the same content
+  digest serial runs journal under; overlapping tenant grids *dedupe*
+  -- a cell digest runs once, its record fans out to every waiting
+  submission;
 * **admission control** bounds the pending-cell queue; a submission
   that would overflow it fails fast with
   :class:`~repro.errors.ServiceSaturated`, never unbounded memory;
@@ -52,6 +55,7 @@ processes of its own -- a campaign always completes.
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import itertools
 import multiprocessing
 import os
@@ -70,18 +74,19 @@ from repro.errors import (
     TransportError,
     WorkerLostError,
 )
+from repro.experiments.campaign import cell_digest
 from repro.obs.live import LiveEndpoint
 from repro.obs.manifest import RunManifest
 from repro.obs.metrics import series_key
 from repro.obs.runtime import METRICS, TRACER, export_config, get_logger
 from repro.parallel.cache import STATS_CACHE_ENV
-from repro.parallel.executor import CellTask
 from repro.resilience.executor import RetryPolicy
 from repro.resilience.journal import CheckpointJournal
 from repro.service.chaos import ChaosSpec, CompletionGate
 from repro.service.lease import Lease, LeaseTable
 from repro.service.protocol import (
     CellAssignment,
+    CellTask,
     CompletionMsg,
     GoodbyeMsg,
     HeartbeatMsg,
@@ -89,7 +94,6 @@ from repro.service.protocol import (
     NackMsg,
     RegisteredMsg,
     ShutdownMsg,
-    cell_digest,
     cell_error_record,
     payload_digest,
 )
@@ -538,7 +542,7 @@ class CampaignService:
                         digest=digest,
                         key=key,
                         task=CellTask(
-                            0, key, workload, spec, scheme, t_rh, trace=trace_ctx
+                            key, workload, spec, scheme, t_rh, trace=trace_ctx
                         ),
                         payload=payload,
                         payload_key=payload_key,
@@ -1300,8 +1304,10 @@ def run_service(
 
     Submissions are made concurrently (so overlapping grids dedupe), the
     service drains gracefully afterwards, and the result list is ordered
-    like ``campaigns``.  This is the synchronous entry point the CLI and
-    smoke scripts use.
+    like ``campaigns``.  This is the synchronous entry point the CLI,
+    the smoke scripts and ``Campaign.run(workers=N)`` use; called from
+    inside a running event loop (a notebook cell, an async caller), it
+    runs the service on a helper thread, since event loops cannot nest.
     """
     campaigns = list(campaigns)
     names = tenants or [f"tenant{i}" for i in range(len(campaigns))]
@@ -1318,7 +1324,12 @@ def run_service(
             ]
             return [await handle.result() for handle in handles]
 
-    return asyncio.run(_main())
+    try:
+        asyncio.get_running_loop()
+    except RuntimeError:
+        return asyncio.run(_main())
+    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as helper:
+        return helper.submit(asyncio.run, _main()).result()
 
 
 __all__ = [

@@ -51,9 +51,10 @@ from typing import Any, Optional, Tuple
 
 from repro.dram.config import DRAMConfig, DRAMTiming
 from repro.errors import ConnectionLostError, FrameError
-from repro.parallel.executor import CellTask
+from repro.experiments.campaign import MappingSpec
 from repro.service.protocol import (
     CellAssignment,
+    CellTask,
     CompletionMsg,
     GoodbyeMsg,
     HeartbeatMsg,
@@ -83,12 +84,8 @@ MAX_FRAME_BYTES = 8 * 1024 * 1024
 #: Dataclasses that may appear *inside* message fields (assignment
 #: payloads carry mapping specs and the DRAM config).
 _VALUE_TYPES = {
-    cls.__name__: cls for cls in (CellTask, DRAMConfig, DRAMTiming)
+    cls.__name__: cls for cls in (CellTask, DRAMConfig, DRAMTiming, MappingSpec)
 }
-# MappingSpec lives in experiments.campaign; imported lazily below to
-# keep transport importable without dragging the simulator stack in
-# (the scheduler needs it anyway, but unit tests of the frame layer
-# should not).
 
 #: Top-level message types, by wire tag.
 _MESSAGE_TYPES = {
@@ -108,21 +105,11 @@ _MESSAGE_TYPES = {
 _DC_TAG = "__dc__"
 
 
-def _value_types() -> dict:
-    types = dict(_VALUE_TYPES)
-    if "MappingSpec" not in types:
-        from repro.experiments.campaign import MappingSpec
-
-        types["MappingSpec"] = MappingSpec
-        _VALUE_TYPES["MappingSpec"] = MappingSpec
-    return types
-
-
 def to_wire(value: Any) -> Any:
     """Encode one value as JSON-compatible data (type-tagged dataclasses)."""
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         name = type(value).__name__
-        if name not in _value_types() and name not in _MESSAGE_TYPES:
+        if name not in _VALUE_TYPES and name not in _MESSAGE_TYPES:
             raise FrameError(
                 f"dataclass {name} is not registered for the wire", kind="encode"
             )
@@ -150,7 +137,7 @@ def from_wire(value: Any) -> Any:
         tag = value.get(_DC_TAG)
         if tag is None:
             return {key: from_wire(item) for key, item in value.items()}
-        cls = _MESSAGE_TYPES.get(tag) or _value_types().get(tag)
+        cls = _MESSAGE_TYPES.get(tag) or _VALUE_TYPES.get(tag)
         if cls is None:
             raise FrameError(f"unknown wire dataclass tag '{tag}'", kind="decode")
         fields = value.get("fields")

@@ -2,11 +2,12 @@
 
 One worker = one process that dials the scheduler's listen address,
 registers with a :class:`HelloMsg`, and then runs leased cells through
-the *same* code path as local pool workers
-(:func:`repro.parallel.executor.run_cell_task`, hence
-:meth:`Campaign.execute_cell` and the :class:`ResilientExecutor` fault
-boundary).  The scheduler spawns its own workers as such processes on a
-loopback address; ``repro-run work --connect`` starts them on any host.
+:func:`run_cell_task` -- hence :meth:`Campaign.execute_cell` and the
+:class:`ResilientExecutor` fault boundary, the code path of a serial
+sweep, which is what keeps serial and service records identical.  The
+scheduler spawns its own workers as such processes on a loopback
+address (this is how ``Campaign.run(workers=N)`` runs);
+``repro-run work --connect`` starts them on any host.
 
 While the worker is connected, a daemon heartbeat thread renews the
 lease it holds every ``heartbeat_interval_s`` and sends idle pings
@@ -15,10 +16,12 @@ idle worker from a half-open connection.  A lazy per-payload
 worker-state cache survives reconnects: a worker that loses its session
 keeps its rebuilt campaigns and rejoins warm.
 
-Telemetry and cache configuration arrive the way pool workers get them:
-an :func:`repro.obs.runtime.export_config` payload applied via
+Telemetry and cache configuration arrive at spawn time: an
+:func:`repro.obs.runtime.export_config` payload applied via
 :func:`apply_config`, plus a ``stats_cache_dir`` pointing the worker's
-simulators at the shared content-keyed stats cache.
+simulators at the shared content-keyed stats cache.  Each cell ships its
+metric *delta* back inside its completion, so the scheduler's registry
+holds the same semantic totals a serial run would.
 
 Failure discipline mirrors the transport's typed envelope:
 
@@ -55,15 +58,18 @@ from __future__ import annotations
 import os
 import threading
 import time
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.errors import ConnectionLostError, FrameError, TransportError
-from repro.obs.runtime import METRICS, TRACER, apply_config, get_logger
-from repro.parallel.executor import build_worker_state, run_cell_task
-from repro.resilience.executor import RetryPolicy
+from repro.experiments.campaign import Campaign
+from repro.experiments.common import get_simulator
+from repro.obs.metrics import diff_snapshots
+from repro.obs.runtime import METRICS, TRACER, apply_config, get_logger, heartbeat
+from repro.resilience.executor import ResilientExecutor, RetryPolicy
 from repro.service.chaos import ChaosDecision, ChaosEngine, ChaosSpec, WireDecision
 from repro.service.protocol import (
     CellAssignment,
+    CellTask,
     CompletionMsg,
     GoodbyeMsg,
     HeartbeatMsg,
@@ -86,6 +92,55 @@ log = get_logger("service.worker")
 
 _NO_FAULT = ChaosDecision()
 _NO_WIRE = WireDecision()
+
+
+def build_worker_state(payload: dict, stats_cache_dir: Optional[str] = None) -> dict:
+    """Build the execution state one campaign payload needs in this process.
+
+    Returns ``{"campaign", "sim", "executor"}`` -- a rebuilt
+    :class:`Campaign`, the process-wide simulator for its geometry
+    (pointed at the shared stats cache when one is configured), and a
+    fresh :class:`ResilientExecutor` fault boundary.  Workers build one
+    lazily per distinct campaign payload and reuse it across cells.
+    """
+    campaign = Campaign(**payload)
+    sim = get_simulator(campaign.config)
+    if stats_cache_dir:
+        sim.stats_cache.persist_to(stats_cache_dir)
+    return {"campaign": campaign, "sim": sim, "executor": ResilientExecutor()}
+
+
+def run_cell_task(
+    state: dict, task: CellTask, worker_id: str
+) -> Tuple[dict, float, Optional[dict]]:
+    """Run one cell against prebuilt worker state.
+
+    Returns ``(record, duration_s, telemetry)``: the cell's tidy record
+    from :meth:`Campaign.execute_cell`, its wall time, and its metric
+    delta snapshot (None when telemetry is disabled).  Forked workers
+    inherit the parent's registry contents; shipping deltas keeps them
+    from double-counting in the scheduler's merge.
+    """
+    telemetry = METRICS.enabled
+    if telemetry:
+        heartbeat(worker_id)
+    before = METRICS.snapshot() if telemetry else None
+    started = time.perf_counter()
+    # Adopt the submitter's trace context (a no-op for an empty token):
+    # the cell's campaign.cell span and everything under it join the
+    # submitting process's trace rather than rooting a local one.
+    with TRACER.attach(task.trace):
+        record = state["campaign"].execute_cell(
+            state["sim"],
+            state["executor"],
+            task.workload,
+            task.spec,
+            task.scheme,
+            task.t_rh,
+        )
+    duration = time.perf_counter() - started
+    delta = diff_snapshots(METRICS.snapshot(), before) if telemetry else None
+    return record, duration, delta
 
 
 class _HeartbeatPump:
@@ -291,10 +346,9 @@ class _ServiceWorker:
             if state is None:
                 state = build_worker_state(assignment.payload, self.stats_cache_dir)
                 self._states[assignment.payload_key] = state
-            state["worker_id"] = worker_id
-            raw = run_cell_task(state, assignment.task)
-            record = raw.record
-            duration_s, telemetry = raw.duration_s, raw.telemetry
+            record, duration_s, telemetry = run_cell_task(
+                state, assignment.task, worker_id
+            )
         except Exception as error:  # defense in depth: report, don't die
             record = cell_error_record(assignment.task, error, attempts=1)
             duration_s, telemetry = 0.0, None
@@ -477,4 +531,10 @@ def spawn_net_workers(
     return processes
 
 
-__all__ = ["run_net_worker", "service_worker_main", "spawn_net_workers"]
+__all__ = [
+    "build_worker_state",
+    "run_cell_task",
+    "run_net_worker",
+    "service_worker_main",
+    "spawn_net_workers",
+]

@@ -10,7 +10,7 @@ playbook spec plus per-field axes::
 
 :func:`fuzz` expands the axes into a cell grid, runs every cell through
 the existing :class:`~repro.experiments.campaign.Campaign` engine (so
-process-pool parallelism, the content-keyed stats cache, resilience
+``workers=N`` parallelism, the content-keyed stats cache, resilience
 boundaries, journals, and telemetry all apply unchanged -- each spec
 travels as a self-contained ``playbook:<json>`` workload name), flags
 the cells whose record shows hot rows under the grid's mapping, and

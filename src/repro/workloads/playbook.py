@@ -401,7 +401,7 @@ def workload_name_for(spec: dict) -> str:
     """Self-contained campaign workload name for a playbook spec.
 
     The spec is embedded as canonical (sorted-key, compact) JSON, so the
-    name survives journals, process-pool workers, and the service wire
+    name survives journals, worker processes, and the service wire
     format without any side-channel registry, and two equal specs always
     produce the same name (content-keyed caches dedupe them).
     """

@@ -8,10 +8,11 @@ without re-running finished cells (verified by cell-execution counters).
 
 import pytest
 
+from repro.dram.config import multichannel_config
 from repro.errors import MappingConfigError, SchemeConfigError, WorkloadConfigError
 from repro.experiments.campaign import Campaign, MappingSpec
 from repro.experiments.common import get_simulator
-from repro.resilience.executor import ResilientExecutor, RetryPolicy
+from repro.resilience.executor import CellBudget, ResilientExecutor, RetryPolicy
 from repro.resilience.faults import FaultPlan, FaultySimulator, SimulatedCrash
 from repro.resilience.journal import CheckpointJournal
 
@@ -119,6 +120,58 @@ class TestCrashAndResume:
             make_campaign().run(
                 journal=tmp_path / "a.jsonl", resume_from=tmp_path / "b.jsonl"
             )
+
+
+def one_cell_campaign(**overrides) -> Campaign:
+    kwargs = dict(
+        workloads=["xz"],
+        mappings=[MappingSpec("coffeelake")],
+        schemes=["blockhammer"],
+        thresholds=[128],
+        scale=0.05,
+    )
+    kwargs.update(overrides)
+    return Campaign(**kwargs)
+
+
+def over_budget() -> ResilientExecutor:
+    """Every cell overruns this budget, so the degrade policy decides it."""
+    return ResilientExecutor(budget=CellBudget(max_activations=1))
+
+
+class TestJournalIdentity:
+    """A journal replays a record only for the inputs that produced it."""
+
+    @pytest.mark.parametrize(
+        "changed, status",
+        [
+            ({"degrade_scale_factor": None}, "error"),
+            ({"config": multichannel_config(2)}, "degraded"),
+        ],
+        ids=["degrade-policy", "dram-config"],
+    )
+    def test_resume_under_changed_inputs_reruns_the_cell(
+        self, tmp_path, changed, status
+    ):
+        journal_path = tmp_path / "campaign.jsonl"
+        (journaled,) = one_cell_campaign().run(
+            executor=over_budget(), journal=journal_path
+        )
+        assert journaled["status"] == "degraded"
+
+        direct = one_cell_campaign(**changed).run(executor=over_budget())
+        assert direct[0]["status"] == status
+        resumed = one_cell_campaign(**changed)
+        records = resumed.run(executor=over_budget(), resume_from=journal_path)
+        assert records == direct
+        assert resumed.cells_executed == 1
+
+    def test_degraded_cell_counts_as_one_cell(self):
+        # The failing attempt and the degraded re-run are one cell.
+        campaign = one_cell_campaign()
+        (record,) = campaign.run(executor=over_budget())
+        assert record["status"] == "degraded"
+        assert campaign.cells_executed == 1
 
 
 class TestFailFastValidation:
