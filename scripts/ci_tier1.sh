@@ -33,7 +33,12 @@
 #   8. benchmark hook guard: the service-grid tests of perfbench/, whose
 #      traced run wraps repro.service.scheduler.service_worker_main to
 #      collect worker-side spans -- a change that breaks that hook fails
-#      here rather than only in a benchmark run.
+#      here rather than only in a benchmark run;
+#   9. paper-number pin: the serial paper suite
+#      (scripts/run_paper_suite.py) must reproduce
+#      results_paper_suite.txt byte for byte, its "finished in" timing
+#      lines aside.  A change meant to move a number updates that file
+#      and EXPERIMENTS.md together.
 #
 # Per-test timeouts come from [tool.pytest.ini_options] in
 # pyproject.toml (pytest-timeout, or the conftest SIGALRM fallback);
@@ -122,3 +127,12 @@ run_bounded 60 python scripts/validate_telemetry.py "$DIST_TELEMETRY_DIR" --trac
 # including a traced run whose worker-side spans come through the
 # service_worker_main wrapper (about 20 s).
 run_bounded "$SMOKE_BUDGET" python -m pytest -q perfbench -k service
+
+# Stage 9: paper-number pin -- the whole serial suite (about 80 s on a
+# 2-core VM), diffed against the committed results with the timing
+# lines dropped.
+SUITE_OUT="$(mktemp -t rubix-suite-XXXXXX)"
+trap 'rm -rf "$TELEMETRY_DIR" "$SERVICE_TELEMETRY_DIR" "$FUZZ_TELEMETRY_DIR" "$DIST_TELEMETRY_DIR" "$SUITE_OUT"' EXIT
+run_bounded 600 python scripts/run_paper_suite.py "$SUITE_OUT" --quiet
+diff <(grep -v 'finished in' results_paper_suite.txt) \
+    <(grep -v 'finished in' "$SUITE_OUT")

@@ -1,38 +1,32 @@
 #!/usr/bin/env python3
 """Run the full experiment suite at publication scales.
 
-Serial mode shares one process, so every experiment reuses the trace and
-window-statistics caches -- the whole suite costs one analysis pass per
-(workload, mapping) configuration.  ``--workers N`` fans the suite out
-over a process pool instead; pair it with ``--stats-cache DIR`` (or let
-this script create a temporary one, the default) so the workers share
-one on-disk analysis cache rather than each repeating the passes.
-Output is the EXPERIMENTS.md data either way, in suite order.
+The suite runs in one process through the runner's experiment loop
+(``repro.experiments.runner.run_experiments``), so every experiment
+reuses the trace and window-statistics caches -- the whole suite costs
+one analysis pass per (workload, mapping) configuration.  Output is the
+EXPERIMENTS.md data, in suite order, each block followed by its timing
+line.  A failing experiment is logged and skipped: every other block
+still prints, and the script exits 1 naming the failures.  Set
+``REPRO_STATS_CACHE=DIR`` to also persist the analyses across runs.
 
 ``--telemetry-dir DIR`` additionally writes a run manifest, metric
 snapshots, and span event streams to DIR (see docs/OBSERVABILITY.md);
 ``--log-json PATH`` mirrors the console status records to a JSONL file.
 
-Usage:  python scripts/run_paper_suite.py [output.txt] [--workers N]
-                                          [--stats-cache DIR]
+Usage:  python scripts/run_paper_suite.py [output.txt] [--quiet|--verbose]
+                                          [--log-json PATH]
                                           [--telemetry-dir DIR]
 """
 
 from __future__ import annotations
 
 import argparse
-import os
-import shutil
 import sys
-import tempfile
 import time
 
-from repro.experiments.runner import _experiment_task, run_experiment
-from repro.obs import runtime as obs_runtime
-from repro.obs.logs import QUIET, VERBOSE
-from repro.obs.manifest import RunManifest
-from repro.obs.runtime import METRICS, get_logger
-from repro.parallel.cache import STATS_CACHE_ENV
+from repro.experiments.runner import configure_run, finish_run, run_experiments
+from repro.obs.runtime import get_logger
 
 log = get_logger("paper_suite")
 
@@ -77,16 +71,6 @@ SUITE = [
 def _parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("output", nargs="?", default=None, help="output file (stdout if omitted)")
-    parser.add_argument(
-        "--workers", type=int, default=1, help="process-pool size (1 = in-process)"
-    )
-    parser.add_argument(
-        "--stats-cache",
-        metavar="DIR",
-        default=None,
-        help="shared window-statistics cache directory (parallel runs"
-        " default to a temporary one, removed afterwards)",
-    )
     verbosity = parser.add_mutually_exclusive_group()
     verbosity.add_argument(
         "--verbose", action="store_true", help="print debug-level records too"
@@ -110,105 +94,42 @@ def _parse_args(argv):
     return parser.parse_args(argv)
 
 
-def _results(args):
-    """Yield (experiment_id, scale, result, elapsed) in suite order."""
-    if args.workers == 1:
-        for experiment_id, scale, workloads in SUITE:
-            started = time.perf_counter()
-            result = run_experiment(experiment_id, scale, workloads)
-            yield experiment_id, scale, result, time.perf_counter() - started
-        return
-    from concurrent.futures import ProcessPoolExecutor, as_completed
-
-    order = [entry[0] for entry in SUITE]
-    scales = {entry[0]: entry[1] for entry in SUITE}
-    done = {}
-    cursor = 0
-    with ProcessPoolExecutor(max_workers=min(args.workers, len(SUITE))) as pool:
-        futures = [pool.submit(_experiment_task, entry, True) for entry in SUITE]
-        for future in as_completed(futures):
-            experiment_id, result, error, elapsed, telemetry = future.result()
-            if telemetry:
-                METRICS.merge(telemetry)
-            if error is not None:
-                raise RuntimeError(f"{experiment_id} failed: {error}")
-            done[experiment_id] = (result, elapsed)
-            log.info(
-                "suite.experiment_done",
-                message=f"done {experiment_id} ({elapsed:.1f}s)",
-                experiment=experiment_id,
-                elapsed_s=round(elapsed, 3),
-            )
-            while cursor < len(order) and order[cursor] in done:
-                eid = order[cursor]
-                result, elapsed = done.pop(eid)
-                yield eid, scales[eid], result, elapsed
-                cursor += 1
-
-
 def main(argv=None) -> int:
     args = _parse_args(argv)
-    temp_cache = None
-    if args.workers > 1 and not args.stats_cache and STATS_CACHE_ENV not in os.environ:
-        temp_cache = tempfile.mkdtemp(prefix="rubix-stats-cache-")
-        args.stats_cache = temp_cache
-    if args.stats_cache:
-        os.environ[STATS_CACHE_ENV] = args.stats_cache
-    verbosity = VERBOSE if args.verbose else (QUIET if args.quiet else None)
-    manifest = None
-    if args.telemetry_dir:
-        # Environment, not initargs: pool workers (fork or spawn)
-        # configure themselves from it at import.
-        os.environ[obs_runtime.TELEMETRY_DIR_ENV] = args.telemetry_dir
-    obs_runtime.configure(
-        enabled=obs_runtime.enabled() or bool(args.telemetry_dir),
-        telemetry_dir=args.telemetry_dir,
-        verbosity=verbosity,
-        log_json=args.log_json,
+    manifest = configure_run(
+        args,
+        "paper_suite",
+        {"suite": [list(entry) for entry in SUITE], "output": args.output},
     )
-    if args.telemetry_dir or obs_runtime.telemetry_dir() is not None:
-        manifest = RunManifest.create(
-            "paper_suite",
-            config={
-                "suite": [list(entry) for entry in SUITE],
-                "workers": args.workers,
-                "stats_cache": args.stats_cache,
-                "output": args.output,
-            },
-        )
     out = open(args.output, "w") if args.output else sys.stdout
     suite_started = time.perf_counter()
+    failures = []
     try:
-        for experiment_id, scale, result, elapsed in _results(args):
+        for (experiment_id, scale, _), (_, result, elapsed) in zip(
+            SUITE, run_experiments(SUITE)
+        ):
+            if result is None:
+                failures.append(experiment_id)
+                continue
             print(result.format(), file=out)
             print(
                 f"[{experiment_id} scale={scale} finished in {elapsed:.1f}s]\n",
                 file=out,
             )
             out.flush()
-            if args.workers == 1:
-                log.info(
-                    "suite.experiment_done",
-                    message=f"done {experiment_id} ({elapsed:.1f}s)",
-                    experiment=experiment_id,
-                    elapsed_s=round(elapsed, 3),
-                )
+            log.info(
+                "suite.experiment_done",
+                message=f"done {experiment_id} ({elapsed:.1f}s)",
+                experiment=experiment_id,
+                elapsed_s=round(elapsed, 3),
+            )
         print(
             f"[suite finished in {time.perf_counter() - suite_started:.0f}s]", file=out
         )
-        if manifest is not None:
-            written = obs_runtime.write_telemetry(manifest=manifest)
-            log.info(
-                "telemetry.written",
-                message=f"[telemetry written to {obs_runtime.telemetry_dir()}]",
-                artifacts=sorted(str(path) for path in written.values()),
-            )
     finally:
         if out is not sys.stdout:
             out.close()
-        if temp_cache is not None:
-            shutil.rmtree(temp_cache, ignore_errors=True)
-    return 0
+    return finish_run(manifest, failures)
 
 
 if __name__ == "__main__":

@@ -108,7 +108,7 @@ def get_simulator(config: Optional[DRAMConfig] = None) -> Simulator:
 
     When the ``REPRO_STATS_CACHE`` environment variable names a
     directory, the simulator's window-statistics cache persists there --
-    pool workers and sequential suite runs then share one content-keyed
+    successive runs and service workers then share one content-keyed
     cache on disk.
     """
     config = config or baseline_config()

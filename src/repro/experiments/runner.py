@@ -4,14 +4,16 @@ Usage::
 
     python -m repro.experiments list
     python -m repro.experiments run fig7 [--scale 0.5] [--workloads 6]
-    python -m repro.experiments run all [--scale 0.25] [--workers 4]
+    python -m repro.experiments run all [--scale 0.25]
     python -m repro.experiments report --telemetry runs/today
     python -m repro.experiments trace --telemetry runs/today
 
-``--workers N`` fans the selected experiments out over a process pool;
-``--stats-cache DIR`` points every process (and every later run) at one
-shared on-disk window-statistics cache so they reuse instead of
-recompute each (trace, mapping) analysis.
+Experiments run one after another in this process, so they share its
+trace and window-statistics caches; ``--stats-cache DIR`` also persists
+those analyses on disk, so a later run reuses instead of recomputes
+each (trace, mapping) pass.  :func:`run_experiments` is the one
+experiment loop: ``run`` and ``scripts/run_paper_suite.py`` both drive
+it.
 
 ``--telemetry-dir DIR`` enables the telemetry layer for the run: a
 ``manifest.json`` with full provenance, metric snapshots (JSONL and
@@ -28,13 +30,12 @@ import argparse
 import os
 import sys
 import time
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.experiments.registry import get_experiment, list_experiments
 from repro.obs import runtime as obs_runtime
 from repro.obs.logs import QUIET, VERBOSE
 from repro.obs.manifest import RunManifest
-from repro.obs.metrics import diff_snapshots
 from repro.obs.runtime import METRICS, TRACER, get_logger
 from repro.parallel.cache import STATS_CACHE_ENV
 from repro.resilience.journal import CheckpointJournal
@@ -102,19 +103,11 @@ def _build_parser() -> argparse.ArgumentParser:
         " starting the journal over",
     )
     run.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="run the selected experiments over a process pool of this"
-        " size (1 = in-process, the default)",
-    )
-    run.add_argument(
         "--stats-cache",
         metavar="DIR",
         default=None,
         help="directory for a persistent window-statistics cache shared"
-        " across workers and runs (sets the REPRO_STATS_CACHE"
-        " environment variable)",
+        " across runs (sets the REPRO_STATS_CACHE environment variable)",
     )
     verbosity = run.add_mutually_exclusive_group()
     verbosity.add_argument(
@@ -139,9 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         default=None,
         help="enable telemetry and write run artifacts (manifest.json,"
-        " metrics.jsonl, metrics.prom, events-*.jsonl) to DIR; sets the"
-        " REPRO_TELEMETRY_DIR environment variable so pool workers"
-        " inherit it",
+        " metrics.jsonl, metrics.prom, events-*.jsonl) to DIR",
     )
     run.add_argument(
         "--serve-metrics",
@@ -439,14 +430,19 @@ def main(argv: Optional[List[str]] = None) -> int:
                 experiment=experiment_id,
             )
             return 2
-    if args.workers < 1:
-        log.error("args.invalid", message="--workers must be >= 1")
-        return 2
     if args.stats_cache:
-        # Environment, not an argument: pool workers (fork or spawn)
-        # inherit it, and get_simulator() picks it up lazily.
+        # get_simulator() picks the directory up from the environment.
         os.environ[STATS_CACHE_ENV] = args.stats_cache
-    manifest = _configure_telemetry(args, targets)
+    manifest = configure_run(
+        args,
+        "experiments.run",
+        {
+            "experiments": targets,
+            "scale": args.scale,
+            "workload_limit": args.workloads,
+            "stats_cache": args.stats_cache,
+        },
+    )
     endpoint = _maybe_serve_metrics(args)
     journal = CheckpointJournal(args.journal) if args.journal else None
     if journal is not None and not args.resume:
@@ -459,20 +455,48 @@ def main(argv: Optional[List[str]] = None) -> int:
                 message=f"[{experiment_id} already completed; skipped (resume)]",
                 experiment=experiment_id,
             )
-    pending = [eid for eid in targets if eid not in completed]
+    tasks = [
+        (eid, args.scale, args.workloads) for eid in targets if eid not in completed
+    ]
 
     failures = []
     try:
-        for experiment_id, result, error, elapsed in _run_pending(pending, args):
-            ok = _emit_result(
-                args, experiment_id, result, error, elapsed, journal,
-                multi=len(targets) > 1,
-            )
-            if not ok:
+        for experiment_id, result, elapsed in run_experiments(tasks):
+            if result is None:
                 failures.append(experiment_id)
+            else:
+                _emit_result(
+                    args, experiment_id, result, elapsed, journal,
+                    multi=len(targets) > 1,
+                )
     finally:
         if endpoint is not None:
             endpoint.close()
+    return finish_run(manifest, failures)
+
+
+def configure_run(args, command: str, config: dict) -> Optional[RunManifest]:
+    """Apply a run's logging/telemetry flags; returns its manifest, if any.
+
+    ``args`` carries the shared ``--verbose``/``--quiet``, ``--log-json``
+    and ``--telemetry-dir`` flags.  A run writing telemetry artifacts --
+    to ``--telemetry-dir`` or to ``REPRO_TELEMETRY_DIR`` -- gets a
+    ``command`` manifest recording ``config``.
+    """
+    verbosity = VERBOSE if args.verbose else (QUIET if args.quiet else None)
+    obs_runtime.configure(
+        enabled=obs_runtime.enabled() or bool(args.telemetry_dir),
+        telemetry_dir=args.telemetry_dir,
+        verbosity=verbosity,
+        log_json=args.log_json,
+    )
+    if not obs_runtime.enabled() or obs_runtime.telemetry_dir() is None:
+        return None
+    return RunManifest.create(command, config=config)
+
+
+def finish_run(manifest: Optional[RunManifest], failures: Sequence[str] = ()) -> int:
+    """Write the run's telemetry, report its failed experiments; exit code."""
     if manifest is not None:
         written = obs_runtime.write_telemetry(manifest=manifest)
         log.info(
@@ -484,40 +508,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         log.error(
             "run.failures",
             message=f"[{len(failures)} experiment(s) failed: {', '.join(failures)}]",
-            failed=failures,
+            failed=list(failures),
         )
         return 1
     return 0
-
-
-def _configure_telemetry(args, targets: List[str]) -> Optional[RunManifest]:
-    """Apply the run's logging/telemetry flags; returns the manifest, if any.
-
-    The telemetry directory travels through ``REPRO_TELEMETRY_DIR`` so
-    pool workers -- fork or spawn -- configure themselves at import, the
-    same pattern ``REPRO_STATS_CACHE`` uses.
-    """
-    verbosity = VERBOSE if args.verbose else (QUIET if args.quiet else None)
-    if args.telemetry_dir:
-        os.environ[obs_runtime.TELEMETRY_DIR_ENV] = args.telemetry_dir
-    obs_runtime.configure(
-        enabled=obs_runtime.enabled() or bool(args.telemetry_dir),
-        telemetry_dir=args.telemetry_dir,
-        verbosity=verbosity,
-        log_json=args.log_json,
-    )
-    if not args.telemetry_dir:
-        return None
-    return RunManifest.create(
-        "experiments.run",
-        config={
-            "experiments": targets,
-            "scale": args.scale,
-            "workload_limit": args.workloads,
-            "workers": args.workers,
-            "stats_cache": args.stats_cache,
-        },
-    )
 
 
 def _maybe_serve_metrics(args):
@@ -644,7 +638,20 @@ def _serve(args) -> int:
         tenants.append(str(spec.get("tenant", f"tenant{index}")))
     if args.stats_cache:
         os.environ[STATS_CACHE_ENV] = args.stats_cache
-    manifest = _configure_serve_telemetry(args, [str(p) for p in spec_paths], tenants)
+    manifest = configure_run(
+        args,
+        "experiments.serve",
+        {
+            "specs": [str(p) for p in spec_paths],
+            "tenants": tenants,
+            "workers": args.workers,
+            "lease_timeout_s": args.lease_timeout,
+            "journal": args.journal,
+            "chaos_seed": args.chaos_seed,
+            "stats_cache": args.stats_cache,
+            "listen": args.listen,
+        },
+    )
     chaos = ChaosSpec(
         seed=args.chaos_seed,
         kill_before_frac=0.1,
@@ -702,44 +709,8 @@ def _serve(args) -> int:
         submissions=len(campaigns),
         elapsed_s=round(elapsed, 3),
     )
-    if manifest is not None:
-        written = obs_runtime.write_telemetry(manifest=manifest)
-        log.info(
-            "telemetry.written",
-            message=f"[telemetry written to {obs_runtime.telemetry_dir()}]",
-            artifacts=sorted(str(path) for path in written.values()),
-        )
+    finish_run(manifest)
     return 1 if failures else 0
-
-
-def _configure_serve_telemetry(
-    args, specs: List[str], tenants: List[str]
-) -> Optional[RunManifest]:
-    """Serve-mode telemetry config; mirrors :func:`_configure_telemetry`."""
-    verbosity = VERBOSE if args.verbose else (QUIET if args.quiet else None)
-    if args.telemetry_dir:
-        os.environ[obs_runtime.TELEMETRY_DIR_ENV] = args.telemetry_dir
-    obs_runtime.configure(
-        enabled=obs_runtime.enabled() or bool(args.telemetry_dir),
-        telemetry_dir=args.telemetry_dir,
-        verbosity=verbosity,
-        log_json=args.log_json,
-    )
-    if not args.telemetry_dir:
-        return None
-    return RunManifest.create(
-        "experiments.serve",
-        config={
-            "specs": specs,
-            "tenants": tenants,
-            "workers": args.workers,
-            "lease_timeout_s": args.lease_timeout,
-            "journal": args.journal,
-            "chaos_seed": args.chaos_seed,
-            "stats_cache": args.stats_cache,
-            "listen": args.listen,
-        },
-    )
 
 
 def _work(args) -> int:
@@ -816,80 +787,39 @@ def _report(args) -> int:
     return 0
 
 
-def _experiment_task(
-    task: Tuple[str, Optional[float], Optional[int]], ship_telemetry: bool = False
-):
-    """Run one experiment; shipping-safe result (used from pool workers).
+def run_experiments(tasks: Iterable[Tuple[str, Optional[float], Optional[int]]]):
+    """The experiment loop: run each ``(id, scale, workload_limit)`` in order.
 
-    Returns ``(id, result, error, elapsed, telemetry)`` where
-    ``telemetry`` is this experiment's metric *delta* snapshot when
-    ``ship_telemetry`` is set (pool mode: the parent merges it), else
-    None (serial mode: the in-process registry already has it).
-    Timing is monotonic (``perf_counter``), so a wall-clock adjustment
-    mid-run cannot skew the reported elapsed time.
+    Yields ``(id, result, elapsed)``.  One broken experiment must not
+    abort the sweep: its typed failure is logged as an
+    ``experiment.failed`` record and yielded as ``result=None``, so the
+    caller reports it and keeps going.  Timing is monotonic
+    (``perf_counter``), so a wall-clock adjustment mid-run cannot skew
+    the reported elapsed time.
     """
-    experiment_id, scale, workload_limit = task
-    telemetry = ship_telemetry and METRICS.enabled
-    before = METRICS.snapshot() if telemetry else None
-    started = time.perf_counter()
-    try:
-        with TRACER.span("runner.experiment", experiment=experiment_id):
-            result = run_experiment(experiment_id, scale, workload_limit)
-        METRICS.inc("runner.experiments", status="ok")
-        error = None
-    except Exception as exc:
-        # One broken experiment must not abort the suite: carry the
-        # (typed) failure back as text -- exceptions from a worker may
-        # not unpickle -- so the parent reports it and keeps sweeping.
-        METRICS.inc("runner.experiments", status="error")
-        result, error = None, f"{type(exc).__name__}: {exc}"
-    elapsed = time.perf_counter() - started
-    delta = diff_snapshots(METRICS.snapshot(), before) if telemetry else None
-    return experiment_id, result, error, elapsed, delta
+    for experiment_id, scale, workload_limit in tasks:
+        started = time.perf_counter()
+        try:
+            with TRACER.span("runner.experiment", experiment=experiment_id):
+                result = run_experiment(experiment_id, scale, workload_limit)
+            METRICS.inc("runner.experiments", status="ok")
+        except Exception as exc:
+            METRICS.inc("runner.experiments", status="error")
+            result, error = None, f"{type(exc).__name__}: {exc}"
+        elapsed = time.perf_counter() - started
+        if result is None:
+            log.error(
+                "experiment.failed",
+                message=f"[{experiment_id} failed: {error}]",
+                experiment=experiment_id,
+                error=error,
+                elapsed_s=round(elapsed, 3),
+            )
+        yield experiment_id, result, elapsed
 
 
-def _run_pending(pending: List[str], args):
-    """Yield (id, result, error, elapsed) in deterministic target order.
-
-    Serial mode yields each experiment as it runs; parallel mode
-    dispatches them all to a process pool and yields the deterministic
-    prefix as soon as it completes, so output order never depends on
-    worker timing.  Pool workers ship their metric deltas back with each
-    outcome; merging them here is what makes the final snapshot (and the
-    manifest) identical between serial and parallel runs of one suite.
-    """
-    tasks = [(eid, args.scale, args.workloads) for eid in pending]
-    if args.workers == 1 or len(pending) <= 1:
-        for task in tasks:
-            yield _experiment_task(task)[:4]
-        return
-    from concurrent.futures import ProcessPoolExecutor, as_completed
-
-    done = {}
-    cursor = 0
-    with ProcessPoolExecutor(max_workers=min(args.workers, len(pending))) as pool:
-        futures = {pool.submit(_experiment_task, task, True): task[0] for task in tasks}
-        for future in as_completed(futures):
-            outcome = future.result()
-            if outcome[4]:
-                METRICS.merge(outcome[4])
-            done[outcome[0]] = outcome[:4]
-            while cursor < len(pending) and pending[cursor] in done:
-                yield done.pop(pending[cursor])
-                cursor += 1
-
-
-def _emit_result(args, experiment_id, result, error, elapsed, journal, *, multi) -> bool:
-    """Print/journal one experiment outcome; returns False on failure."""
-    if error is not None:
-        log.error(
-            "experiment.failed",
-            message=f"[{experiment_id} failed: {error}]",
-            experiment=experiment_id,
-            error=error,
-            elapsed_s=round(elapsed, 3),
-        )
-        return False
+def _emit_result(args, experiment_id, result, elapsed, journal, *, multi) -> None:
+    """Print/journal one finished experiment."""
     log.info("experiment.result", message=result.format(), experiment=experiment_id)
     if args.chart:
         from repro.experiments.charts import render_bars
@@ -932,7 +862,6 @@ def _emit_result(args, experiment_id, result, error, elapsed, journal, *, multi)
         experiment=experiment_id,
         elapsed_s=round(elapsed, 3),
     )
-    return True
 
 
 def _load_playbook_file(path: str) -> dict:

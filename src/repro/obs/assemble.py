@@ -1,6 +1,6 @@
 """Reassemble distributed trace trees from a telemetry directory.
 
-Every process in a run -- scheduler, pool workers, service workers on
+Every process in a run -- the scheduler and its service workers on
 this or other hosts -- appends its finished spans to its own
 ``events-<run>-<pid>.jsonl`` file, each span stamped with the
 ``(trace_id, span_id, parent_span_id)`` triple minted by

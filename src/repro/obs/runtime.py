@@ -8,10 +8,10 @@ disabled by default.  Enable them explicitly::
 
 or implicitly through the environment -- ``REPRO_TELEMETRY_DIR=DIR``
 (enable + write artifacts to DIR) or ``REPRO_TELEMETRY=1`` (enable,
-in-memory only).  The environment path is how worker processes
-inherit telemetry from a CLI run, exactly like ``REPRO_STATS_CACHE``;
-the campaign service instead ships :func:`export_config` to the workers
-it spawns (see :mod:`repro.service.worker`).
+in-memory only).  The environment path switches telemetry on for a
+script that has no flag for it (the CI smoke stages use it); the
+campaign service ships :func:`export_config` to the workers it spawns
+(see :mod:`repro.service.worker`).
 
 Artifact layout under the telemetry directory::
 
@@ -205,7 +205,7 @@ def reset() -> None:
 # Cross-process plumbing
 # ---------------------------------------------------------------------------
 def export_config() -> Optional[dict]:
-    """Picklable config a pool worker applies to mirror this process.
+    """Picklable config a worker process applies to mirror this process.
 
     None when telemetry is disabled (workers then skip configuration
     entirely, keeping the disabled path allocation-free).
@@ -221,7 +221,7 @@ def export_config() -> Optional[dict]:
 
 
 def apply_config(config: Optional[dict]) -> None:
-    """Apply an :func:`export_config` payload inside a pool worker."""
+    """Apply an :func:`export_config` payload inside a worker process."""
     if not config:
         return
     if config.get("run_id"):
@@ -242,9 +242,9 @@ def _configure_from_env() -> None:
         configure(enabled=True)
 
 
-# Environment auto-enable at import: CLI entry points set the env vars
-# before building process pools, and workers (fork or spawn) pick the
-# configuration up here without any explicit hand-off.
+# Environment auto-enable at import: a process started with the env vars
+# set (the CI smoke stages, and any child process that inherits them)
+# is configured here without any explicit hand-off.
 _configure_from_env()
 
 

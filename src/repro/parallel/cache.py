@@ -38,7 +38,8 @@ log = get_logger("cache")
 
 #: Environment variable naming a shared persistence directory; when set,
 #: process-wide simulators persist their window statistics there (this
-#: is how pool workers inherit the cache location).
+#: is how ``--stats-cache`` reaches ``experiments.common.get_simulator``, and how one
+#: run's analyses serve the next).
 STATS_CACHE_ENV = "REPRO_STATS_CACHE"
 
 #: On-disk entry format version (bump on layout changes).
