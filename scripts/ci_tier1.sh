@@ -38,7 +38,13 @@
 #      (scripts/run_paper_suite.py) must reproduce
 #      results_paper_suite.txt byte for byte, its "finished in" timing
 #      lines aside.  A change meant to move a number updates that file
-#      and EXPERIMENTS.md together.
+#      and EXPERIMENTS.md together;
+#  10. telemetry-enabled window check: a 1M-line Rubix-D window gives
+#      bit-identical stats with telemetry on and off, fires the
+#      sim.windows/sim.lines counters, and its snapshot (the nested
+#      window spans included) validates against the schema
+#      (benchmarks/test_bench_telemetry.py; deterministic, not timed --
+#      the timed disabled-overhead gate in that file stays out of CI).
 #
 # Per-test timeouts come from [tool.pytest.ini_options] in
 # pyproject.toml (pytest-timeout, or the conftest SIGALRM fallback);
@@ -136,3 +142,7 @@ trap 'rm -rf "$TELEMETRY_DIR" "$SERVICE_TELEMETRY_DIR" "$FUZZ_TELEMETRY_DIR" "$D
 run_bounded 600 python scripts/run_paper_suite.py "$SUITE_OUT" --quiet
 diff <(grep -v 'finished in' results_paper_suite.txt) \
     <(grep -v 'finished in' "$SUITE_OUT")
+
+# Stage 10: telemetry-enabled window check -- deterministic, not timed.
+run_bounded "$SMOKE_BUDGET" python -m pytest -q \
+    benchmarks/test_bench_telemetry.py::test_enabled_mode_matches_disabled_results

@@ -13,6 +13,8 @@ still prints, and the script exits 1 naming the failures.  Set
 ``--telemetry-dir DIR`` additionally writes a run manifest, metric
 snapshots, and span event streams to DIR (see docs/OBSERVABILITY.md);
 ``--log-json PATH`` mirrors the console status records to a JSONL file.
+Status records (``done <id> (Xs)``) go to stderr, so stdout carries only
+the data when no output file is given.
 
 Usage:  python scripts/run_paper_suite.py [output.txt] [--quiet|--verbose]
                                           [--log-json PATH]
@@ -117,7 +119,7 @@ def main(argv=None) -> int:
                 file=out,
             )
             out.flush()
-            log.info(
+            log.status(
                 "suite.experiment_done",
                 message=f"done {experiment_id} ({elapsed:.1f}s)",
                 experiment=experiment_id,

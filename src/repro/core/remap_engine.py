@@ -26,7 +26,6 @@ from typing import NamedTuple, Sequence, Union
 import numpy as np
 
 from repro.crypto.keys import KeySchedule
-from repro.obs.profile import PROFILER
 
 IntOrArray = Union[int, np.ndarray]
 
@@ -175,22 +174,21 @@ class XorRemapEngine:
         """
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
-        with PROFILER.phase("remap_steps"):
-            total = 0
-            remaining = count
-            while remaining > 0:
-                take = min(remaining, self.space - self.ptr)
-                swapped = _swaps_in_range(self.ptr, self.ptr + take, self.keys.next_key)
-                self.swaps_performed += swapped
-                self.swaps_skipped += take - swapped
-                self.ptr += take
-                total += swapped
-                remaining -= take
-                if self.ptr == self.space:
-                    self.keys.advance_epoch()
-                    self.ptr = 0
-                    self.epochs_completed += 1
-            return total
+        total = 0
+        remaining = count
+        while remaining > 0:
+            take = min(remaining, self.space - self.ptr)
+            swapped = _swaps_in_range(self.ptr, self.ptr + take, self.keys.next_key)
+            self.swaps_performed += swapped
+            self.swaps_skipped += take - swapped
+            self.ptr += take
+            total += swapped
+            remaining -= take
+            if self.ptr == self.space:
+                self.keys.advance_epoch()
+                self.ptr = 0
+                self.epochs_completed += 1
+        return total
 
     def _remap_steps_loop(self, count: int) -> int:
         """Stepwise oracle for :meth:`remap_steps` (tests/benchmarks).

@@ -35,8 +35,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.obs.profile import PROFILER
-
 
 @dataclass
 class TraceStats:
@@ -192,87 +190,86 @@ def analyze_trace(
     Returns:
         A :class:`TraceStats` for the window.
     """
-    with PROFILER.phase("analyze_trace"):
-        flat_bank = np.asarray(flat_bank)
-        row = np.asarray(row)
-        if flat_bank.shape != row.shape or flat_bank.ndim != 1:
-            raise ValueError("flat_bank and row must be 1-D arrays of equal length")
-        n = flat_bank.size
-        if n == 0:
-            return TraceStats(0, 0, 0, np.empty(0, np.int64), np.empty(0, np.int64), 0)
-        if max_hits is not None and max_hits < 1:
-            raise ValueError(f"max_hits must be >= 1 or None, got {max_hits}")
+    flat_bank = np.asarray(flat_bank)
+    row = np.asarray(row)
+    if flat_bank.shape != row.shape or flat_bank.ndim != 1:
+        raise ValueError("flat_bank and row must be 1-D arrays of equal length")
+    n = flat_bank.size
+    if n == 0:
+        return TraceStats(0, 0, 0, np.empty(0, np.int64), np.empty(0, np.int64), 0)
+    if max_hits is not None and max_hits < 1:
+        raise ValueError(f"max_hits must be >= 1 or None, got {max_hits}")
 
-        n_bank_ids = int(flat_bank.max()) + 1
-        # Exclusive upper bound on the global row ids; when it fits in 32
-        # bits the whole kernel runs on half the memory bandwidth (the ids
-        # themselves stay exact either way).  Derived from the observed row
-        # maximum so even out-of-spec row indices stay in domain.
-        domain = (n_bank_ids - 1) * rows_per_bank + int(row.max()) + 1
-        work_dtype = np.int32 if domain <= np.iinfo(np.int32).max else np.int64
-        global_row = flat_bank.astype(work_dtype) * work_dtype(rows_per_bank) + row.astype(
-            work_dtype
-        )
+    n_bank_ids = int(flat_bank.max()) + 1
+    # Exclusive upper bound on the global row ids; when it fits in 32
+    # bits the whole kernel runs on half the memory bandwidth (the ids
+    # themselves stay exact either way).  Derived from the observed row
+    # maximum so even out-of-spec row indices stay in domain.
+    domain = (n_bank_ids - 1) * rows_per_bank + int(row.max()) + 1
+    work_dtype = np.int32 if domain <= np.iinfo(np.int32).max else np.int64
+    global_row = flat_bank.astype(work_dtype) * work_dtype(rows_per_bank) + row.astype(
+        work_dtype
+    )
 
-        # Group accesses by bank while preserving program order inside each bank.
-        order = _grouping_order(flat_bank, n_bank_ids)
-        g = global_row[order]
+    # Group accesses by bank while preserving program order inside each bank.
+    order = _grouping_order(flat_bank, n_bank_ids)
+    g = global_row[order]
 
-        # An access continues the current run iff it targets the same global
-        # row as its predecessor within the same bank.  Because global row ids
-        # embed the bank id, comparing them also compares banks -- except that
-        # the first access of each bank group must start a new run even if the
-        # previous bank's last row id coincides; embedding makes collision
-        # impossible (row ids of different banks never match).
-        new_run = np.empty(n, dtype=bool)
-        new_run[0] = True
-        np.not_equal(g[1:], g[:-1], out=new_run[1:])
+    # An access continues the current run iff it targets the same global
+    # row as its predecessor within the same bank.  Because global row ids
+    # embed the bank id, comparing them also compares banks -- except that
+    # the first access of each bank group must start a new run even if the
+    # previous bank's last row id coincides; embedding makes collision
+    # impossible (row ids of different banks never match).
+    new_run = np.empty(n, dtype=bool)
+    new_run[0] = True
+    np.not_equal(g[1:], g[:-1], out=new_run[1:])
 
-        if max_hits is None:
-            act_mask = new_run
+    if max_hits is None:
+        act_mask = new_run
+    else:
+        # An access's position in its run is its index minus the index
+        # of the run's first access, which is the running maximum of the
+        # run-start indices.
+        pos_in_run = np.arange(n, dtype=np.int32 if n <= np.iinfo(np.int32).max else np.int64)
+        run_start = pos_in_run * new_run
+        np.maximum.accumulate(run_start, out=run_start)
+        pos_in_run -= run_start
+        if max_hits & (max_hits - 1) == 0:
+            pos_in_run &= max_hits - 1
         else:
-            # An access's position in its run is its index minus the index
-            # of the run's first access, which is the running maximum of the
-            # run-start indices.
-            pos_in_run = np.arange(n, dtype=np.int32 if n <= np.iinfo(np.int32).max else np.int64)
-            run_start = pos_in_run * new_run
-            np.maximum.accumulate(run_start, out=run_start)
-            pos_in_run -= run_start
-            if max_hits & (max_hits - 1) == 0:
-                pos_in_run &= max_hits - 1
-            else:
-                pos_in_run %= max_hits
-            act_mask = pos_in_run == 0
+            pos_in_run %= max_hits
+        act_mask = pos_in_run == 0
 
-        act_rows = g[act_mask]
-        n_act = int(act_rows.size)
-        # Per-row counts: sort the activated ids and cut at value changes.
-        # On narrow ids this beats a dense bincount, whose allocation and
-        # scan of the whole row domain dominate short windows.
-        ordered = np.sort(act_rows)
-        first = np.empty(n_act, dtype=bool)
-        first[0] = True
-        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        row_ids = ordered[starts].astype(np.int64, copy=False)
-        acts_per_row = np.diff(starts, append=n_act)
+    act_rows = g[act_mask]
+    n_act = int(act_rows.size)
+    # Per-row counts: sort the activated ids and cut at value changes.
+    # On narrow ids this beats a dense bincount, whose allocation and
+    # scan of the whole row domain dominate short windows.
+    ordered = np.sort(act_rows)
+    first = np.empty(n_act, dtype=bool)
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    row_ids = ordered[starts].astype(np.int64, copy=False)
+    acts_per_row = np.diff(starts, append=n_act)
 
-        detail_rows = act_rows.astype(np.int64, copy=False) if keep_detail else None
-        keep_cols = keep_detail and col is not None
-        detail_cols = np.asarray(col)[order][act_mask] if keep_cols else None
+    detail_rows = act_rows.astype(np.int64, copy=False) if keep_detail else None
+    keep_cols = keep_detail and col is not None
+    detail_cols = np.asarray(col)[order][act_mask] if keep_cols else None
 
-        return TraceStats(
-            n_accesses=n,
-            n_activations=n_act,
-            n_hits=n - n_act,
-            row_ids=row_ids,
-            acts_per_row=acts_per_row.astype(np.int64, copy=False),
-            # Every run of same-row accesses opens with an activation, so the
-            # rows touched are exactly the rows activated.
-            unique_rows_touched=int(row_ids.size),
-            act_rows=detail_rows,
-            act_cols=detail_cols,
-        )
+    return TraceStats(
+        n_accesses=n,
+        n_activations=n_act,
+        n_hits=n - n_act,
+        row_ids=row_ids,
+        acts_per_row=acts_per_row.astype(np.int64, copy=False),
+        # Every run of same-row accesses opens with an activation, so the
+        # rows touched are exactly the rows activated.
+        unique_rows_touched=int(row_ids.size),
+        act_rows=detail_rows,
+        act_cols=detail_cols,
+    )
 
 
 def _analyze_trace_sorted(
@@ -387,9 +384,8 @@ class ChunkedAnalyzer:
             if self._hist.size < domain:
                 growth = np.zeros(domain - self._hist.size, dtype=np.int64)
                 self._hist = np.concatenate([self._hist, growth])
-            with PROFILER.phase("chunk_merge"):
-                # row_ids are unique within a chunk: no np.add.at needed.
-                self._hist[stats.row_ids] += stats.acts_per_row
+            # row_ids are unique within a chunk: no np.add.at needed.
+            self._hist[stats.row_ids] += stats.acts_per_row
             return stats
         if self._row_parts is None:
             self._row_parts = [_histogram_part(self._hist)]

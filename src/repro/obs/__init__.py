@@ -22,7 +22,7 @@ Beyond the post-run artifacts, the layer offers a live plane:
 over HTTP while a run is in flight; :func:`assemble_traces` /
 :func:`render_trace` rebuild the distributed span trees every process
 of a run contributed to; and :data:`PROFILER` samples collapsed stacks
-around the hot kernels when ``REPRO_PROFILE`` is set.
+per open span when ``REPRO_PROFILE`` is set.
 """
 
 from repro.obs.assemble import (
@@ -49,7 +49,7 @@ from repro.obs.metrics import (
     snapshot_to_jsonl,
     snapshot_to_prometheus,
 )
-from repro.obs.profile import PROFILER, SamplingProfiler, profiling_enabled
+from repro.obs.profile import PROFILER, SamplingProfiler
 from repro.obs.runtime import (
     LOGS,
     METRICS,
@@ -117,7 +117,6 @@ __all__ = [
     "heartbeat",
     "load_span_events",
     "parse_series_key",
-    "profiling_enabled",
     "render_trace",
     "reset",
     "run_id",

@@ -8,7 +8,9 @@ fields; the console rendering is decoupled from the machine record:
   is how the runner's historical output stays byte-identical at the
   default verbosity), otherwise a compact ``event key=value`` line.
   ``info``/``debug`` go to stdout, ``warning``/``error`` to stderr,
-  exactly like the prints they replace.
+  exactly like the prints they replace.  ``status`` is an info record
+  whose console line goes to stderr: progress chatter of a script whose
+  stdout carries data.
 * **JSONL sink** (``--log-json PATH``) -- one JSON object per call,
   regardless of console verbosity, so ``--quiet`` terminal runs still
   produce a complete machine log.
@@ -107,6 +109,9 @@ class StructuredLogger:
     def info(self, event: str, message: Optional[str] = None, **fields: object) -> None:
         self._log("info", event, message, fields)
 
+    def status(self, event: str, message: Optional[str] = None, **fields: object) -> None:
+        self._log("info", event, message, fields, stream=sys.stderr)
+
     def warning(self, event: str, message: Optional[str] = None, **fields: object) -> None:
         self._log("warning", event, message, fields)
 
@@ -120,11 +125,13 @@ class StructuredLogger:
         event: str,
         message: Optional[str],
         fields: Dict[str, object],
+        stream: Optional[TextIO] = None,
     ) -> None:
         rank = _LEVEL_RANK[level]
         state = self._state
         if rank >= _CONSOLE_THRESHOLD[state.verbosity]:
-            stream = sys.stderr if rank >= 30 else sys.stdout
+            if stream is None:
+                stream = sys.stderr if rank >= 30 else sys.stdout
             print(message if message is not None else _render(event, fields), file=stream)
         record = {
             "ts": time.time(),

@@ -27,6 +27,7 @@ checks) or as a Prometheus text snapshot.
 from __future__ import annotations
 
 import json
+import re
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -42,6 +43,7 @@ DEFAULT_TIME_BUCKETS: Tuple[float, ...] = (
 )
 
 _LABEL_SEP = "|"
+_LABEL_SPLIT = re.compile(r",(?=[A-Za-z_][A-Za-z0-9_]*=)")
 
 
 def series_key(name: str, labels: Dict[str, object]) -> str:
@@ -58,7 +60,9 @@ def parse_series_key(key: str) -> Tuple[str, Dict[str, str]]:
         return key, {}
     name, _, packed = key.partition(_LABEL_SEP)
     labels: Dict[str, str] = {}
-    for part in packed.split(","):
+    # Split only at a comma that starts the next ``key=``: label values
+    # such as the mapping name "Rubix-D (GS4, static)" contain commas.
+    for part in _LABEL_SPLIT.split(packed):
         if part:
             k, _, v = part.partition("=")
             labels[k] = v

@@ -1,34 +1,27 @@
-"""Opt-in sampling profiler scoped around the hot kernels.
+"""Opt-in sampling profiler: collapsed stacks per tracer span.
 
-A production campaign spends almost all of its time inside four hot
-kernels: trace translation, trace analysis, the chunked analyzer's
-cross-chunk merge, and remap-sweep advancement.  This module
-answers "*where inside them*" without instrumenting a single kernel
-line: a daemon thread samples the Python stacks of threads currently
-inside a profiled phase every few milliseconds via
-``sys._current_frames()`` and aggregates them into collapsed-stack
-counts -- the ``frame;frame;frame count`` format flamegraph tooling
-consumes directly.
+The tracer's spans are the profiler's phases.  A daemon thread samples
+the Python stacks of every thread that has a span open every few
+milliseconds via ``sys._current_frames()`` and attributes each sample
+to the innermost open span of that thread (read from the tracer's
+per-thread stacks, :meth:`~repro.obs.tracing.Tracer.active_spans`).
+Samples aggregate into collapsed-stack counts -- the ``frame;frame;frame
+count`` format flamegraph tooling consumes directly.  So a campaign's
+``sim.translate``, ``sim.analyze`` and ``sim.remap`` spans answer
+"*where inside them*" without instrumenting a single kernel line.
 
 Opt-in and zero-overhead when off:
 
 * enable with ``REPRO_PROFILE=1`` in the environment (workers inherit
   it like every other telemetry variable) or programmatically via
-  :meth:`SamplingProfiler.enable`;
-* while disabled, the only cost anywhere is :meth:`SamplingProfiler.phase`
-  returning a shared no-op scope -- no thread, no lock, no allocation
-  exists;
-* while enabled, entering a phase registers the calling thread with the
-  sampler; samples are attributed to the innermost active phase.
+  :meth:`SamplingProfiler.enable`.  The environment switch also turns
+  telemetry on (in memory, unless a telemetry directory is configured
+  too), so there are spans to sample;
+* while disabled no thread, lock or allocation exists; the spans cost
+  what they always cost.
 
-The hot paths scope themselves: ``analyze_trace`` and the chunk merge
-in ``repro.dram.fast_model`` (phases ``analyze_trace`` and
-``chunk_merge``), ``XorRemapEngine.remap_steps`` (``remap_steps``), and
-the simulator's ``translate_trace`` call sites (``translate_trace``).
-Nested same-phase scopes are harmless.
-
-Output: one ``profile-<phase>-<pid>.collapsed`` file per profiled phase
-per process, written into the telemetry directory by
+Output: one ``profile-<span>-<pid>.collapsed`` file per sampled span
+name per process, written into the telemetry directory by
 :func:`repro.obs.runtime.write_telemetry` (and at interpreter exit for
 worker processes, which never call ``write_telemetry`` themselves).
 
@@ -48,6 +41,9 @@ import threading
 from collections import Counter
 from pathlib import Path
 from typing import Dict, List, Optional, Union
+
+from repro.obs import runtime
+from repro.obs.tracing import Tracer
 
 #: Truthy values enable the profiler for the whole process tree.
 PROFILE_ENV = "REPRO_PROFILE"
@@ -69,63 +65,30 @@ def _collapse(frame) -> str:
     return ";".join(parts)
 
 
-class _PhaseScope:
-    """Context manager marking the calling thread as inside one phase."""
-
-    __slots__ = ("_profiler", "_phase", "_ident", "_previous")
-
-    def __init__(self, profiler: "SamplingProfiler", phase: str) -> None:
-        self._profiler = profiler
-        self._phase = phase
-        self._ident = 0
-        self._previous: Optional[str] = None
-
-    def __enter__(self) -> "_PhaseScope":
-        self._ident = threading.get_ident()
-        self._previous = self._profiler._enter(self._ident, self._phase)
-        return self
-
-    def __exit__(self, *exc_info: object) -> bool:
-        self._profiler._exit(self._ident, self._previous)
-        return False
-
-
-class _NullScope:
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullScope":
-        return self
-
-    def __exit__(self, *exc_info: object) -> bool:
-        return False
-
-
-_NULL_SCOPE = _NullScope()
-
-
 class SamplingProfiler:
-    """Collapsed-stack sampling profiler for phase-scoped hot sections.
+    """Collapsed-stack sampling profiler, one profile per span name.
 
     Args:
         interval_s: Wall-clock spacing between stack samples.  5 ms
             keeps the sampler under ~1% of a busy core while resolving
-            phases tens of milliseconds long.
+            spans tens of milliseconds long.
+        tracer: Tracer whose open spans name the samples (the
+            process-wide one by default).
     """
 
-    def __init__(self, interval_s: float = 0.005) -> None:
+    def __init__(self, interval_s: float = 0.005, tracer: Tracer = runtime.TRACER) -> None:
         self.interval_s = interval_s
+        self.tracer = tracer
         self.enabled = False
         self._lock = threading.Lock()
-        #: phase -> Counter[collapsed stack] -> sample count.
+        #: span name -> Counter[collapsed stack] -> sample count.
         self._samples: Dict[str, Counter] = {}
-        #: thread ident -> innermost active phase name.
-        self._active: Dict[int, str] = {}
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
 
     # -- lifecycle -----------------------------------------------------
     def enable(self, interval_s: Optional[float] = None) -> None:
-        """Start sampling phases entered from now on (idempotent)."""
+        """Start sampling threads with open spans (idempotent)."""
         if interval_s is not None:
             self.interval_s = interval_s
         if self.enabled:
@@ -145,65 +108,33 @@ class SamplingProfiler:
             self._thread.join(timeout=2.0)
             self._thread = None
 
-    def clear(self) -> None:
-        """Drop collected samples and phase registrations (tests)."""
-        with self._lock:
-            self._samples.clear()
-            self._active.clear()
-
-    # -- phase scoping -------------------------------------------------
-    def phase(self, name: str):
-        """Context manager attributing the calling thread's samples to
-        ``name`` for its duration (no-op while disabled)."""
-        if not self.enabled:
-            return _NULL_SCOPE
-        return _PhaseScope(self, name)
-
-    def _enter(self, ident: int, phase: str) -> Optional[str]:
-        with self._lock:
-            previous = self._active.get(ident)
-            self._active[ident] = phase
-        return previous
-
-    def _exit(self, ident: int, previous: Optional[str]) -> None:
-        with self._lock:
-            if previous is None:
-                self._active.pop(ident, None)
-            else:
-                self._active[ident] = previous
-
     # -- sampling ------------------------------------------------------
     def _sample_loop(self) -> None:
         while not self._stop.wait(self.interval_s):
-            with self._lock:
-                if not self._active:
-                    continue
-                active = dict(self._active)
             frames = sys._current_frames()
-            collapsed = {
-                ident: _collapse(frame)
-                for ident, frame in frames.items()
-                if ident in active
-            }
+            collapsed = [
+                (span, _collapse(frames[ident]))
+                for ident, span in self.tracer.active_spans().items()
+                if ident in frames
+            ]
+            if not collapsed:
+                continue
             with self._lock:
-                for ident, stack in collapsed.items():
-                    phase = self._active.get(ident)
-                    if phase is None:
-                        continue  # phase exited between snapshot and here
-                    self._samples.setdefault(phase, Counter())[stack] += 1
+                for span, stack in collapsed:
+                    self._samples.setdefault(span, Counter())[stack] += 1
 
     # -- output --------------------------------------------------------
     def samples(self) -> Dict[str, Counter]:
-        """A copy of the collected per-phase stack counters."""
+        """A copy of the collected per-span stack counters."""
         with self._lock:
-            return {phase: Counter(c) for phase, c in self._samples.items()}
+            return {span: Counter(c) for span, c in self._samples.items()}
 
     def write(self, directory: Union[str, Path]) -> List[Path]:
-        """Write one ``profile-<phase>-<pid>.collapsed`` file per phase.
+        """Write one ``profile-<span>-<pid>.collapsed`` file per span name.
 
         Returns the written paths (empty when nothing was sampled).
         Counts accumulate across calls within one process; rewriting is
-        idempotent because files are keyed by phase and pid.
+        idempotent because files are keyed by span name and pid.
         """
         snapshot = self.samples()
         if not snapshot:
@@ -212,8 +143,8 @@ class SamplingProfiler:
         target.mkdir(parents=True, exist_ok=True)
         pid = os.getpid()
         written: List[Path] = []
-        for phase, counts in sorted(snapshot.items()):
-            safe = phase.replace("/", "_").replace(" ", "_")
+        for span, counts in sorted(snapshot.items()):
+            safe = span.replace("/", "_").replace(" ", "_")
             path = target / f"profile-{safe}-{pid}.collapsed"
             lines = [f"{stack} {count}" for stack, count in sorted(counts.items())]
             path.write_text("\n".join(lines) + "\n")
@@ -225,17 +156,10 @@ class SamplingProfiler:
 PROFILER = SamplingProfiler()
 
 
-def profiling_enabled() -> bool:
-    """Is the process-wide sampling profiler collecting?"""
-    return PROFILER.enabled
-
-
 def _write_at_exit() -> None:
     """Worker processes never call ``write_telemetry``; flush here."""
     if not PROFILER.samples():
         return
-    from repro.obs import runtime
-
     directory = runtime.telemetry_dir()
     if directory is not None:
         try:
@@ -253,6 +177,8 @@ def _configure_from_env() -> None:
         interval_s = float(interval_ms) / 1000.0 if interval_ms else None
     except ValueError:
         interval_s = None
+    if not runtime.enabled():
+        runtime.configure(enabled=True)  # in memory: spans to sample
     PROFILER.enable(interval_s)
     atexit.register(_write_at_exit)
 
@@ -265,5 +191,4 @@ __all__ = [
     "PROFILE_INTERVAL_ENV",
     "PROFILER",
     "SamplingProfiler",
-    "profiling_enabled",
 ]

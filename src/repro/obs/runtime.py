@@ -20,7 +20,7 @@ Artifact layout under the telemetry directory::
     metrics.prom                 Prometheus text-exposition snapshot
     events-<run>-<pid>.jsonl     span + log event stream, one file per
                                  process per run
-    profile-<phase>-<pid>.collapsed   sampling-profiler stacks (opt-in)
+    profile-<span>-<pid>.collapsed   sampling-profiler stacks (opt-in)
 
 Events are written per-(run, process): the run id (:func:`run_id`, an
 8-hex token minted once in the parent and inherited by every worker via

@@ -57,7 +57,6 @@ METRICS: Dict[str, dict] = {
     "sim.windows": {"kind": "counter", "labels": {"mode"}},
     "sim.lines": {"kind": "counter", "labels": set()},
     "sim.activations": {"kind": "counter", "labels": set()},
-    "sim.window_seconds": {"kind": "histogram", "labels": set()},
     "trace.generated": {"kind": "counter", "labels": {"workload"}},
     # -- campaign workers (operational) --------------------------------
     "parallel.worker_heartbeat": {"kind": "gauge", "labels": {"worker"}},
@@ -92,7 +91,8 @@ METRICS: Dict[str, dict] = {
     "obs.http_requests": {"kind": "counter", "labels": {"path"}},
     # -- tracer aggregates (operational) -------------------------------
     "span.count": {"kind": "counter", "labels": {"span", "status"}},
-    "span.seconds": {"kind": "histogram", "labels": {"span"}},
+    "span.seconds": {"kind": "histogram", "labels": {"span", "mapping"}},
+    "span.lines": {"kind": "counter", "labels": {"span", "mapping"}},
 }
 
 #: Metric names whose totals must be identical between serial and
@@ -120,8 +120,10 @@ SPAN_NAMES = {
     "sim.window",
     "sim.translate",
     "sim.analyze",
+    "sim.remap",
     "sim.mitigation",
     "trace.gen",
+    "trace.fingerprint",
     "service.submit",
     "service.worker_session",
     "fuzz.sweep",

@@ -2,7 +2,8 @@
 
 Turns a telemetry directory's manifest + metrics snapshot into the
 terse operational overview an engineer actually wants after a run:
-where the time went (span table), whether the caches worked (hit
+where the time went (span table, per mapping and in ns per trace line
+where the span counted lines), whether the caches worked (hit
 rates), whether the run struggled (retries, faults, degraded cells),
 and the paper-facing mitigation counters.
 """
@@ -27,6 +28,12 @@ def _counters_by_name(snapshot: dict) -> Dict[str, Dict[str, float]]:
 
 
 def _span_table(snapshot: dict) -> List[str]:
+    """One row per (span, mapping); ns/line where the span counted lines."""
+    span_lines: Dict[tuple, float] = {}
+    for key, value in snapshot.get("counters", {}).items():
+        name, labels = parse_series_key(key)
+        if name == "span.lines":
+            span_lines[(labels.get("span"), labels.get("mapping", "-"))] = value
     rows = []
     for key, data in snapshot.get("histograms", {}).items():
         name, labels = parse_series_key(key)
@@ -35,13 +42,22 @@ def _span_table(snapshot: dict) -> List[str]:
         count = data["count"]
         total = data["sum"]
         mean = total / count if count else 0.0
-        rows.append((total, labels["span"], count, mean))
+        mapping = labels.get("mapping", "-")
+        lines = span_lines.get((labels["span"], mapping))
+        per_line = f"{1e9 * total / lines:.1f}" if lines else "-"
+        rows.append((total, labels["span"], mapping, count, mean, per_line))
     if not rows:
         return ["  (no spans recorded)"]
     rows.sort(reverse=True)
-    lines = [f"  {'span':<20} {'count':>8} {'total s':>10} {'mean s':>10}"]
-    for total, span, count, mean in rows:
-        lines.append(f"  {span:<20} {count:>8} {total:>10.3f} {mean:>10.4f}")
+    lines = [
+        f"  {'span':<22} {'mapping':<22} {'count':>8} {'total s':>10}"
+        f" {'mean s':>10} {'ns/line':>9}"
+    ]
+    for total, span, mapping, count, mean, per_line in rows:
+        lines.append(
+            f"  {span:<22} {mapping:<22} {count:>8} {total:>10.3f}"
+            f" {mean:>10.4f} {per_line:>9}"
+        )
     return lines
 
 
@@ -108,13 +124,6 @@ def summarize_snapshot(snapshot: dict, *, manifest: Optional[RunManifest] = None
     swaps = total("campaign.remap_swaps")
     if swaps:
         lines.append(f"rubix-d remap swaps: {int(swaps)}")
-    sim_lines = total("sim.lines")
-    window_hist = snapshot.get("histograms", {}).get("sim.window_seconds")
-    if sim_lines and window_hist and window_hist["sum"] > 0:
-        lines.append(
-            f"analyzer: {int(total('sim.windows'))} windows, {int(sim_lines):,} lines"
-            f" ({sim_lines / window_hist['sum'] / 1e6:.1f} Mlines/s analyzed)"
-        )
     lines.append("")
     lines.append("where the time went:")
     lines.extend(_span_table(snapshot))

@@ -7,10 +7,19 @@ analyze / mitigation) -- via an explicit per-thread stack::
         with tracer.span("sim.translate"):
             ...
 
+A span that carries ``lines=n`` (the trace lines it handled) and
+``mapping=name`` attributes is attributed per layer and per mapping::
+
+    with tracer.span("sim.translate", lines=len(chunk), mapping="Rubix-S"):
+        ...
+
 Each finished span is recorded three ways:
 
-* the metrics registry gets ``span.count{span=..., status=...}`` and a
-  ``span.seconds{span=...}`` histogram observation,
+* the metrics registry gets ``span.count{span=..., status=...}``, a
+  ``span.seconds{span=...[, mapping=...]}`` histogram observation and,
+  when ``lines`` is given, a ``span.lines{span=...[, mapping=...]}``
+  counter increment -- so ``runner report`` can print ns/line per
+  (span, mapping),
 * the telemetry event stream (when configured) gets one JSON line with
   the span's full nesting ``path``, duration, and attributes,
 * a bounded in-memory ring (:attr:`Tracer.finished`) keeps the most
@@ -36,6 +45,12 @@ by the monotonic clock, so a wall-clock (NTP) adjustment mid-run cannot
 reorder the tree.  With telemetry disabled, :meth:`Tracer.span` returns
 a shared no-op context manager: the hot path pays one boolean check and
 no allocation.
+
+The tracer is also the profiler's clock of record: the per-thread
+stacks live in a dict keyed by ``threading.get_ident()`` (a thread's
+entry is dropped once its stack empties), so the sampling profiler
+(:mod:`repro.obs.profile`) can read the innermost open span of every
+thread from its own sampler thread via :meth:`Tracer.active_spans`.
 """
 
 from __future__ import annotations
@@ -141,9 +156,7 @@ class _LiveSpan:
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         duration = time.perf_counter() - self._t0
-        stack = self._tracer._stack()
-        if stack and stack[-1][1] == self._ids[1]:
-            stack.pop()
+        self._tracer._pop(self._ids[1])
         trace_id, span_id, parent_id = self._ids
         self._tracer._finish(
             SpanRecord(
@@ -179,9 +192,7 @@ class _AttachedContext:
         return self
 
     def __exit__(self, *exc_info: object) -> bool:
-        stack = self._tracer._stack()
-        if stack and stack[-1][0] is None and stack[-1][1] == self._span_id:
-            stack.pop()
+        self._tracer._pop(self._span_id)
         return False
 
 
@@ -206,51 +217,37 @@ class Tracer:
         self.registry = registry
         self.emit = emit
         self.finished: "deque[SpanRecord]" = deque(maxlen=keep)
-        self._local = threading.local()
+        #: thread ident -> open frames, outermost first.  Frames are
+        #: (name, span_id, trace_id); name is None for attached remote
+        #: contexts (excluded from paths).
+        self._stacks: Dict[int, list] = {}
 
     def _stack(self) -> list:
-        # Frames are (name, span_id, trace_id); name is None for
-        # attached remote contexts (excluded from paths).
-        stack = getattr(self._local, "stack", None)
+        ident = threading.get_ident()
+        stack = self._stacks.get(ident)
         if stack is None:
-            stack = self._local.stack = []
+            stack = self._stacks[ident] = []
         return stack
+
+    def _pop(self, span_id: str) -> None:
+        ident = threading.get_ident()
+        stack = self._stacks.get(ident)
+        if stack and stack[-1][1] == span_id:
+            stack.pop()
+        if not stack:
+            self._stacks.pop(ident, None)
 
     # ------------------------------------------------------------------
     def span(self, name: str, **attrs: object):
-        """Context manager timing one nested phase (no-op when disabled)."""
+        """Context manager timing one nested phase (no-op when disabled).
+
+        ``lines=n`` counts the trace lines the phase handled and
+        ``mapping=name`` labels its aggregates by mapping; both also
+        stay in the span's event attributes.
+        """
         if not self.registry.enabled:
             return _NULL_SPAN
         return _LiveSpan(self, name, attrs)
-
-    def add(self, name: str, duration_s: float, **attrs: object) -> None:
-        """Record a synthetic span from an externally-measured duration.
-
-        Used where a phase's time is accumulated across loop iterations
-        (e.g. per-chunk translate time inside a dynamic window) and a
-        ``with`` block per iteration would be needless overhead.
-        """
-        if not self.registry.enabled:
-            return
-        stack = self._stack()
-        names = [frame[0] for frame in stack if frame[0]]
-        path = "/".join(names + [name]) if names else name
-        if stack:
-            _, parent_id, trace_id = stack[-1]
-        else:
-            parent_id, trace_id = "", new_id()
-        self._finish(
-            SpanRecord(
-                name=name,
-                path=path,
-                duration_s=duration_s,
-                status="ok",
-                attrs=attrs,
-                trace_id=trace_id,
-                span_id=new_id(),
-                parent_span_id=parent_id,
-            )
-        )
 
     def attach(self, context: Optional[str]):
         """Adopt a remote ``"trace:span"`` token as the current parent.
@@ -272,7 +269,7 @@ class Tracer:
         """The active ``"trace:span"`` token (None outside any span)."""
         if not self.registry.enabled:
             return None
-        stack = self._stack()
+        stack = self._stacks.get(threading.get_ident())
         if not stack:
             return None
         _, span_id, trace_id = stack[-1]
@@ -280,18 +277,38 @@ class Tracer:
 
     def current_path(self) -> str:
         """The active span ancestry (empty string outside any span)."""
-        return "/".join(frame[0] for frame in self._stack() if frame[0])
+        stack = self._stacks.get(threading.get_ident(), ())
+        return "/".join(frame[0] for frame in stack if frame[0])
+
+    def active_spans(self) -> Dict[int, str]:
+        """``{thread ident: innermost open span name}`` across threads.
+
+        Read from other threads (the profiler's sampler): a stack may
+        change under the read, which at worst misattributes one sample.
+        """
+        active = {}
+        for ident, stack in list(self._stacks.items()):
+            name = next((frame[0] for frame in reversed(stack) if frame[0]), None)
+            if name is not None:
+                active[ident] = name
+        return active
 
     def clear(self) -> None:
         """Drop recorded spans (the registry is cleared separately)."""
         self.finished.clear()
-        self._local = threading.local()
+        self._stacks = {}
 
     # ------------------------------------------------------------------
     def _finish(self, record: SpanRecord) -> None:
         self.finished.append(record)
         self.registry.inc("span.count", span=record.name, status=record.status)
-        self.registry.observe("span.seconds", record.duration_s, span=record.name)
+        labels = {"span": record.name}
+        if "mapping" in record.attrs:
+            labels["mapping"] = record.attrs["mapping"]
+        self.registry.observe("span.seconds", record.duration_s, **labels)
+        lines = record.attrs.get("lines")
+        if lines is not None:
+            self.registry.inc("span.lines", lines, **labels)
         if self.emit is not None:
             self.emit(record.to_event())
 

@@ -18,7 +18,6 @@ reuse each other's.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -30,7 +29,6 @@ from repro.dram.fast_model import ChunkedAnalyzer, TraceStats, analyze_trace
 from repro.dram.power import DDR4PowerModel, PowerBreakdown
 from repro.mapping.base import AddressMapping
 from repro.mapping.intel import CoffeeLakeMapping
-from repro.obs.profile import PROFILER
 from repro.obs.runtime import METRICS, TRACER
 from repro.parallel.cache import StatsCache, stats_cache_key
 from repro.perf.core_model import Calibration, PerformanceModel
@@ -166,37 +164,32 @@ class Simulator:
             if cached is not None:
                 return cached
 
-        self._check_window(trace, mapping)
-        telemetry = METRICS.enabled
-        t0 = time.perf_counter() if telemetry else 0.0
-        if not dynamic:
-            # Window already validated above -- the mapping can skip its
-            # own domain scan.
-            with TRACER.span("sim.translate", mapping=mapping.name):
-                with PROFILER.phase("translate_trace"):
+        mode = "dynamic" if dynamic else "static"
+        lines = int(trace.lines.size)
+        with TRACER.span(
+            "sim.window", lines=lines, mapping=mapping.name, mode=mode, trace=trace.name
+        ):
+            self._check_window(trace, mapping)
+            if not dynamic:
+                # Window already validated above -- the mapping can skip
+                # its own domain scan.
+                with TRACER.span("sim.translate", lines=lines, mapping=mapping.name):
                     mapped = mapping.translate_trace(trace.lines, validate=False)
-            with TRACER.span("sim.analyze", mapping=mapping.name):
-                stats = analyze_trace(
-                    mapped.flat_bank,
-                    mapped.row,
-                    rows_per_bank=self.config.rows_per_bank,
-                    max_hits=self.max_hits,
-                    col=mapped.col,
-                    keep_detail=keep_detail,
-                )
-            swaps = 0
-        else:
-            stats, swaps = self._run_dynamic(trace, mapping, keep_detail=keep_detail)
-        if telemetry:
-            dt = time.perf_counter() - t0
-            mode = "dynamic" if dynamic else "static"
-            METRICS.inc("sim.windows", mode=mode)
-            METRICS.inc("sim.lines", int(trace.lines.size))
-            METRICS.inc("sim.activations", int(stats.n_activations))
-            METRICS.observe("sim.window_seconds", dt)
-            TRACER.add(
-                "sim.window", dt, trace=trace.name, mapping=mapping.name, mode=mode
-            )
+                with TRACER.span("sim.analyze", lines=lines, mapping=mapping.name):
+                    stats = analyze_trace(
+                        mapped.flat_bank,
+                        mapped.row,
+                        rows_per_bank=self.config.rows_per_bank,
+                        max_hits=self.max_hits,
+                        col=mapped.col,
+                        keep_detail=keep_detail,
+                    )
+                swaps = 0
+            else:
+                stats, swaps = self._run_dynamic(trace, mapping, keep_detail=keep_detail)
+        METRICS.inc("sim.windows", mode=mode)
+        METRICS.inc("sim.lines", lines)
+        METRICS.inc("sim.activations", int(stats.n_activations))
 
         if use_cache and not keep_detail:
             self.stats_cache.put(key, stats, swaps)
@@ -228,35 +221,27 @@ class Simulator:
         )
         swaps = 0
         k = mapping.k_bits
-        # Chunk loops are too hot for per-chunk spans; accumulate the
-        # phase times and report them as two synthetic spans at the end.
-        telemetry = METRICS.enabled
-        translate_s = analyze_s = 0.0
         # iter_line_chunks releases consumed memmap pages between chunks,
         # so file-backed traces stream through here at ~chunk-sized RSS.
         for chunk in iter_line_chunks(trace.lines, self.chunk_lines):
-            t0 = time.perf_counter() if telemetry else 0.0
-            with PROFILER.phase("translate_trace"):
+            lines = int(chunk.size)
+            with TRACER.span("sim.translate", lines=lines, mapping=mapping.name):
                 mapped = mapping.translate_trace(chunk, validate=False)
-            if telemetry:
-                t1 = time.perf_counter()
-                translate_s += t1 - t0
-            chunk_stats = analyzer.feed(mapped.flat_bank, mapped.row, mapped.col)
-            if telemetry:
-                analyze_s += time.perf_counter() - t1
-            # Attribute the chunk's activations to v-groups in proportion
-            # to each group's access share (the probabilistic remap
-            # trigger has no better information either).
-            vgroup = (mapped.col >> np.uint64(k)).astype(np.int64)
-            shares = np.bincount(vgroup, minlength=mapping.vgroups).astype(np.float64)
-            total = shares.sum()
-            if total > 0 and chunk_stats.n_activations > 0:
-                shares *= chunk_stats.n_activations / total
-            swaps += mapping.record_activations(shares)
-        if telemetry:
-            TRACER.add("sim.translate", translate_s, mapping=mapping.name)
-            TRACER.add("sim.analyze", analyze_s, mapping=mapping.name)
-        return analyzer.result(), swaps
+            with TRACER.span("sim.analyze", lines=lines, mapping=mapping.name):
+                chunk_stats = analyzer.feed(mapped.flat_bank, mapped.row, mapped.col)
+            with TRACER.span("sim.remap", lines=lines, mapping=mapping.name):
+                # Attribute the chunk's activations to v-groups in
+                # proportion to each group's access share (the
+                # probabilistic remap trigger has no better information
+                # either).
+                vgroup = (mapped.col >> np.uint64(k)).astype(np.int64)
+                shares = np.bincount(vgroup, minlength=mapping.vgroups).astype(np.float64)
+                total = shares.sum()
+                if total > 0 and chunk_stats.n_activations > 0:
+                    shares *= chunk_stats.n_activations / total
+                swaps += mapping.record_activations(shares)
+        with TRACER.span("sim.analyze", mapping=mapping.name):
+            return analyzer.result(), swaps
 
     # ------------------------------------------------------------------
     def run(
@@ -283,11 +268,7 @@ class Simulator:
 
         stats, swaps = self.window_stats(trace, mapping)
         gang_size = getattr(mapping, "gang_size", 1)
-        if METRICS.enabled:
-            t0 = time.perf_counter()
-            load = self.model.mitigation_load(scheme, stats, t_rh)
-            TRACER.add("sim.mitigation", time.perf_counter() - t0, scheme=scheme)
-        else:
+        with TRACER.span("sim.mitigation", mapping=mapping.name, scheme=scheme):
             load = self.model.mitigation_load(scheme, stats, t_rh)
         t_memory = self.model.memory_time_s(stats)
         t_remap = self.model.remap_time_s(swaps, gang_size)

@@ -8,6 +8,8 @@ from typing import Optional
 
 import numpy as np
 
+from repro.obs.runtime import TRACER
+
 #: Bytes hashed per :func:`lines_fingerprint` update (16 MiB): large
 #: enough to amortize call overhead, small enough that hashing a
 #: memory-mapped trace never faults more than a sliver into RAM at once.
@@ -78,7 +80,8 @@ class Trace:
         ``_fingerprint`` to skip the hashing pass entirely.
         """
         if self._fingerprint is None:
-            self._fingerprint = lines_fingerprint(self.lines)
+            with TRACER.span("trace.fingerprint", lines=int(self.lines.size)):
+                self._fingerprint = lines_fingerprint(self.lines)
         return self._fingerprint
 
     def __len__(self) -> int:

@@ -95,3 +95,20 @@ def test_failing_experiment_is_reported_and_the_suite_continues(
     failed = [e for e in events if e["event"] == "experiment.failed"]
     assert [e["experiment"] for e in failed] == ["no-such-experiment"]
     assert failed[0]["error"].startswith("KeyError")
+
+
+def test_stdout_run_prints_only_data(suite, tmp_path, capsys):
+    """Without an output file the data goes to stdout and the per-experiment
+    ``done`` status records to stderr, so ``suite > out.txt`` diffs clean."""
+    suite.SUITE = [FAST_SUITE[0]]
+    assert suite.main([]) == 0
+    captured = capsys.readouterr()
+    assert not [line for line in captured.out.splitlines() if line.startswith("done ")]
+    assert "done fig1a (" in captured.err
+    out = tmp_path / "suite.txt"
+    assert suite.main([str(out)]) == 0
+
+    def data(text):
+        return [line for line in text.splitlines() if "finished in" not in line]
+
+    assert data(captured.out) == data(out.read_text())

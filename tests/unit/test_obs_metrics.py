@@ -33,6 +33,8 @@ class TestSeriesKey:
         name, labels = parse_series_key(key)
         assert name == "span.count"
         assert labels == {"span": "sim.window", "status": "ok"}
+        comma = {"mapping": "Rubix-D (GS4, static)", "span": "sim.window"}
+        assert parse_series_key(series_key("span.seconds", comma)) == ("span.seconds", comma)
 
 
 class TestRegistryBasics:

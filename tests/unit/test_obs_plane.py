@@ -10,6 +10,7 @@ bench-history regression gate (``scripts/bench_regress.py``).
 import importlib.util
 import json
 import os
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -25,8 +26,10 @@ from repro.obs.assemble import (
     validate_traces,
 )
 from repro.obs.live import PROMETHEUS_CONTENT_TYPE, LiveEndpoint
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import SamplingProfiler
 from repro.obs.schema import validate_events_lines, validate_telemetry_dir
+from repro.obs.tracing import Tracer
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -199,43 +202,60 @@ def _busy(deadline):
     return total
 
 
+def _profiled(body):
+    """Run ``body(tracer)`` under an enabled 1 ms profiler; its samples."""
+    tracer = Tracer(MetricsRegistry(enabled=True))
+    profiler = SamplingProfiler(interval_s=0.001, tracer=tracer)
+    profiler.enable()
+    try:
+        body(tracer)
+    finally:
+        profiler.disable()
+    assert tracer.active_spans() == {}  # emptied stacks leave no entry
+    return profiler
+
+
 class TestSamplingProfiler:
     def test_disabled_phase_is_noop(self):
-        profiler = SamplingProfiler()
-        scope = profiler.phase("translate_trace")
-        assert profiler.phase("analyze_trace") is scope  # shared null scope
+        tracer = Tracer(MetricsRegistry(enabled=True))
+        profiler = SamplingProfiler(interval_s=0.001, tracer=tracer)
+        with tracer.span("x"):
+            _busy(time.perf_counter() + 0.02)
+        assert profiler._thread is None
+        assert profiler.samples() == {}
 
     def test_samples_attribute_to_active_phase(self, tmp_path):
-        profiler = SamplingProfiler(interval_s=0.001)
-        profiler.enable()
-        try:
-            with profiler.phase("translate_trace"):
-                _busy(time.perf_counter() + 0.08)
-        finally:
-            profiler.disable()
+        def body(tracer):
+            def work():
+                with tracer.span("x"):
+                    _busy(time.perf_counter() + 0.08)
+
+            worker = threading.Thread(target=work)
+            worker.start()
+            worker.join()
+
+        profiler = _profiled(body)
         samples = profiler.samples()
-        assert "translate_trace" in samples
-        stacks = samples["translate_trace"]
+        assert set(samples) == {"x"}
+        stacks = samples["x"]
         assert sum(stacks.values()) >= 1
         assert any("_busy" in stack for stack in stacks)
         (path,) = profiler.write(tmp_path)
-        assert path.name == f"profile-translate_trace-{os.getpid()}.collapsed"
+        assert path.name == f"profile-x-{os.getpid()}.collapsed"
         stack, count = path.read_text().splitlines()[0].rsplit(" ", 1)
         assert ";" in stack and int(count) >= 1
 
     def test_nested_phases_attribute_to_innermost(self):
-        profiler = SamplingProfiler(interval_s=0.001)
-        profiler.enable()
-        try:
-            with profiler.phase("outer"):
-                with profiler.phase("inner"):
+        def body(tracer):
+            with tracer.span("outer"):
+                with tracer.span("inner"):
                     _busy(time.perf_counter() + 0.05)
-        finally:
-            profiler.disable()
-        samples = profiler.samples()
+
+        samples = _profiled(body).samples()
         assert samples.get("inner")
-        # After the inner scope exits the thread re-registers as outer,
-        # so outer may hold a few samples -- but never inner's majority.
+        # Between the inner span's exit and the outer's, the thread is
+        # inside outer alone, so outer may hold a few samples -- but
+        # never inner's majority.
         inner = sum(samples["inner"].values())
         outer = sum(samples.get("outer", {}).values())
         assert inner > outer

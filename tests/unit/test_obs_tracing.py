@@ -67,17 +67,6 @@ class TestTracer:
         # The stack unwound despite the exception.
         assert tracer.current_path() == ""
 
-    def test_add_records_synthetic_span_under_current_path(self, tracer):
-        tracer, registry, events = tracer
-        with tracer.span("sim.window"):
-            tracer.add("sim.translate", 0.125, mapping="rubix-d")
-        synthetic = tracer.finished[0]
-        assert synthetic.name == "sim.translate"
-        assert synthetic.path == "sim.window/sim.translate"
-        assert synthetic.duration_s == 0.125
-        hist = registry.histogram("span.seconds", span="sim.translate")
-        assert hist.sum == pytest.approx(0.125)
-
     def test_events_emitted_with_schema_fields(self, tracer):
         tracer, registry, events = tracer
         with tracer.span("trace.gen", workload="gcc"):
@@ -293,16 +282,6 @@ class TestTraceContext:
         trc = Tracer(MetricsRegistry(enabled=False))
         assert trc.current_context() is None
         assert trc.attach("a:b") is _NULL_SPAN
-
-    def test_add_inherits_enclosing_context(self, tracer):
-        trc, _, _ = tracer
-        with trc.span("sim.window"):
-            trc.add("sim.translate", 0.005)
-            enclosing_token = trc.current_context()
-        synthetic = trc.finished[0]
-        trace_id, _, span_id = enclosing_token.partition(":")
-        assert synthetic.trace_id == trace_id
-        assert synthetic.parent_span_id == span_id
 
     def test_span_events_carry_context_and_monotonic_ts(self, tracer):
         trc, _, events = tracer
